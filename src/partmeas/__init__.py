@@ -24,7 +24,7 @@ from .density import (
 )
 from .errors import PartmeasError, SchemaError
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
-from .measure import Measure, PositiveMeasure, hahn_decomposition, validate_measure
+from .measure import AtomVector, Measure, PositiveMeasure, hahn_decomposition
 from .partial import (
     JordanDecomposition,
     MaximalPartialMeasure,
@@ -62,12 +62,9 @@ from .symbolic import (
     f_plus_enumeration_oracle,
     hahn_failure_check,
     mu3,
-    sym_complement,
     sym_in_algebra,
     sym_in_f_minus,
     sym_in_f_plus,
-    sym_intersect,
-    sym_union,
 )
 
 __version__ = "0.1.0"
@@ -84,9 +81,9 @@ __all__ = [
     "trace_algebra",
     "enumerate_sets",
     "ENUMERATION_CAP",
+    "AtomVector",
     "Measure",
     "PositiveMeasure",
-    "validate_measure",
     "hahn_decomposition",
     "PartialMeasure",
     "MaximalPartialMeasure",
@@ -117,9 +114,6 @@ __all__ = [
     "SymbolicSet",
     "SymbolicValue",
     "FPlusDecision",
-    "sym_complement",
-    "sym_union",
-    "sym_intersect",
     "sym_in_algebra",
     "mu3",
     "sym_in_f_plus",

@@ -108,7 +108,10 @@ def _build_parser() -> _Parser:
 
 def _load(path: str, expected_kind: str | None = None):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nesting is too deep") from None
     kind, value = jsonio.load_instance(obj)
     if expected_kind is not None and kind != expected_kind:
         raise SchemaError(f"{path}: expected a {expected_kind!r} instance, got {kind!r}")

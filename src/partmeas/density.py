@@ -22,6 +22,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .extreal import ZERO, ExtReal
+from .measure import AtomVector
 from .partial import MaximalPartialMeasure
 from .spaces import FiniteSpace, MeasurableSet, iter_bits
 
@@ -90,31 +91,12 @@ class Probability:
         return f"Probability({vals})"
 
 
-class RandomVariable:
+class RandomVariable(AtomVector):
     """An extended-real function, constant on atoms."""
 
-    __slots__ = ("space", "atom_values")
+    __slots__ = ()
 
-    def __init__(self, space: FiniteSpace, atom_values: Sequence[ExtReal]):
-        values = tuple(atom_values)
-        if len(values) != space.n_atoms:
-            raise ValueError(f"expected {space.n_atoms} atom values, got {len(values)}")
-        for v in values:
-            if not isinstance(v, ExtReal):
-                raise TypeError(f"ExtReal required, got {type(v).__name__}")
-        self.space = space
-        self.atom_values = values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RandomVariable):
-            return NotImplemented
-        return self.space == other.space and self.atom_values == other.atom_values
-
-    def __repr__(self) -> str:
-        vals = ", ".join(
-            f"{self.space.atom_label(i)}={v}" for i, v in enumerate(self.atom_values)
-        )
-        return f"RandomVariable({vals})"
+    _kind = "randomvariable"
 
 
 def _weighted(value: ExtReal, p: Fraction) -> ExtReal:

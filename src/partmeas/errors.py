@@ -125,7 +125,7 @@ class NotInAlgebraError(PartmeasError):
 
 
 class InvalidConfigError(PartmeasError):
-    """A fuzzing configuration field is out of range."""
+    """A run setting (fuzzing configuration, trial count) is out of range."""
 
     code = "InvalidConfig"
 

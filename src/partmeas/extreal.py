@@ -7,7 +7,7 @@ test with zero tolerance.
 
 Addition is partial.  Infinities absorb finite terms and agree with
 themselves, but combining +inf with -inf has no well-posed value, so
-``add`` and ``sum`` raise :class:`IllPosedError` rather than produce a
+``+`` and ``sum`` raise :class:`IllPosedError` rather than produce a
 NaN-like sentinel.
 
 Text encoding, shared by all file formats: finite values are "p/q" in
@@ -29,9 +29,7 @@ __all__ = [
     "PLUS_INF",
     "MINUS_INF",
     "ZERO",
-    "add",
     "sum",
-    "negate",
     "parse",
     "parse_rational",
 ]
@@ -147,15 +145,6 @@ def _make_inf(kind: int) -> ExtReal:
 PLUS_INF = _make_inf(_POS)
 MINUS_INF = _make_inf(_NEG)
 ZERO = ExtReal(0)
-
-
-def add(x: ExtReal, y: ExtReal) -> ExtReal:
-    """Well-posed addition; raises IllPosedError on +inf + -inf."""
-    return x + y
-
-
-def negate(x: ExtReal) -> ExtReal:
-    return -x
 
 
 # Shadows builtins.sum inside this module on purpose: it is the package's

@@ -52,6 +52,7 @@ from .spaces import (
     MeasurableSet,
     generate_algebra,
     iter_bits,
+    iter_submasks,
     trace_algebra,
 )
 from .symbolic import (
@@ -265,7 +266,7 @@ def _prop_sum_invariance(rng, cfg):
         if len(items) == 1:
             return items[0]
         cut = rng.randint(1, len(items) - 1)
-        return extreal.add(fold(items[:cut]), fold(items[cut:]))
+        return fold(items[:cut]) + fold(items[cut:])
 
     if fold(xs) != total:
         _fail("sum is not bracketing invariant")
@@ -276,15 +277,15 @@ def _prop_negation_and_order(rng, cfg):
     y = _random_value(rng, cfg.value_pool)
     if -(-x) != x:
         _fail(f"negation is not an involution on {x}")
-    if x.is_finite and extreal.add(x, -x) != ZERO:
+    if x.is_finite and x + -x != ZERO:
         _fail(f"{x} plus its negation is not 0")
     lo1, hi1 = sorted((x, y))
     a = _random_value(rng, cfg.value_pool)
     b = _random_value(rng, cfg.value_pool)
     lo2, hi2 = sorted((a, b))
     try:
-        left = extreal.add(lo1, lo2)
-        right = extreal.add(hi1, hi2)
+        left = lo1 + lo2
+        right = hi1 + hi2
     except IllPosedError:
         return
     if not left <= right:
@@ -371,7 +372,7 @@ def _prop_measure_additivity(rng, cfg):
         while True:
             a = MeasurableSet(space, mask)
             b = MeasurableSet(space, sub)
-            if m.evaluate(a | b) != extreal.add(v, m.evaluate(b)):
+            if m.evaluate(a | b) != v + m.evaluate(b):
                 _fail(f"additivity failed on {a.key()!r} and {b.key()!r}")
             if sub == 0:
                 break
@@ -452,7 +453,7 @@ def _prop_disjoint_family_sums(rng, cfg):
     fp = [
         m
         for m in fp
-        if all(table[s] >= ZERO for s in _submasks(m))
+        if all(table[s] >= ZERO for s in iter_submasks(m))
     ]
     u = rng.choice(fp)
 
@@ -474,22 +475,13 @@ def _prop_disjoint_family_sums(rng, cfg):
         )
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _prop_union_closure(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = value_table(mu)
     fp = {
         m
         for m in range(len(table))
-        if table[m] is not None and all(table[s] >= ZERO for s in _submasks(m))
+        if table[m] is not None and all(table[s] >= ZERO for s in iter_submasks(m))
     }
     members = rng.sample(sorted(fp), min(len(fp), rng.randint(1, 4)))
     union = 0
@@ -548,7 +540,7 @@ def _prop_jordan_sup_additive(rng, cfg):
     va, _ = jordan_sup(mu, a, "plus")
     vb, _ = jordan_sup(mu, b, "plus")
     vu, _ = jordan_sup(mu, a | b, "plus")
-    if extreal.add(va, vb) != vu:
+    if va + vb != vu:
         _fail("the supremum formula is not additive", mu=_mu_payload(mu))
     if vu != tp[a_mask | b_mask]:
         _fail("the supremum formula disagrees with the positive part",
@@ -562,7 +554,7 @@ def _prop_minimality(rng, cfg):
     for part, side in ((d.mu_plus, "plus"), (d.mu_minus, "minus")):
         nu = PositiveMeasure(
             mu.space,
-            [extreal.add(a, b) for a, b in zip(part.atom_values, rho.atom_values)],
+            [a + b for a, b in zip(part.atom_values, rho.atom_values)],
         )
         if not check_minimality(mu, nu, side):
             _fail(f"a dominating candidate was rejected on side {side}",
@@ -603,9 +595,9 @@ def _prop_corollary1(rng, cfg):
             _fail("witnesses are not subsets", mu=_mu_payload(mu))
         if table[a_plus.mask] != PLUS_INF or table[a_minus.mask] != MINUS_INF:
             _fail("witness values are not the infinities", mu=_mu_payload(mu))
-        if any(table[s] < ZERO for s in _submasks(a_plus.mask)):
+        if any(table[s] < ZERO for s in iter_submasks(a_plus.mask)):
             _fail("positive witness fails class membership", mu=_mu_payload(mu))
-        if any(table[s] > ZERO for s in _submasks(a_minus.mask)):
+        if any(table[s] > ZERO for s in iter_submasks(a_minus.mask)):
             _fail("negative witness fails class membership", mu=_mu_payload(mu))
 
 
@@ -613,9 +605,9 @@ def _prop_hahn_partial(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = value_table(mu)
     c, rest = hahn_partial(mu)
-    if any(table[s] is None or table[s] < ZERO for s in _submasks(c.mask)):
+    if any(table[s] is None or table[s] < ZERO for s in iter_submasks(c.mask)):
         _fail("positive side fails class membership", mu=_mu_payload(mu))
-    if any(table[s] is None or table[s] > ZERO for s in _submasks(rest.mask)):
+    if any(table[s] is None or table[s] > ZERO for s in iter_submasks(rest.mask)):
         _fail("negative side fails class membership", mu=_mu_payload(mu))
 
 
@@ -647,7 +639,7 @@ def _prop_maximality_characterization(rng, cfg):
             else:
                 new_atoms[i] = ZERO
         extra = {}
-        for sub in _submasks(s.mask):
+        for sub in iter_submasks(s.mask):
             ms = MeasurableSet(pm.space, sub)
             if ms not in values:
                 extra[ms] = extreal.sum(new_atoms[i] for i in iter_bits(sub))
@@ -745,7 +737,7 @@ def _prop_rn_round_trip(rng, cfg):
     non_null = [i for i in range(mu.space.n_atoms) if prob.atom_probs[i] > 0]
     i = rng.choice(non_null)
     vals = list(xi.atom_values)
-    vals[i] = extreal.add(vals[i], ExtReal(1)) if vals[i].is_finite else ZERO
+    vals[i] = vals[i] + ExtReal(1) if vals[i].is_finite else ZERO
     eta = RandomVariable(mu.space, vals)
     if mu_xi(eta, prob) == mu:
         _fail("perturbing a non-null atom kept the integral",
@@ -757,12 +749,12 @@ def _prop_ac_split(rng, cfg):
     table = value_table(mu)
     omega_plus = ess_sup(f_plus(mu), prob)
     if any(
-        table[s] is None or table[s] < ZERO for s in _submasks(omega_plus.mask)
+        table[s] is None or table[s] < ZERO for s in iter_submasks(omega_plus.mask)
     ):
         _fail("essential supremum left the nonnegative class",
               mu=_mu_payload(mu))
     rest = omega_plus.complement()
-    if any(table[s] is None or table[s] > ZERO for s in _submasks(rest.mask)):
+    if any(table[s] is None or table[s] > ZERO for s in iter_submasks(rest.mask)):
         _fail("its complement left the nonpositive class", mu=_mu_payload(mu))
 
 
@@ -831,7 +823,7 @@ def _prop_symbolic_closure(rng, cfg):
             SymbolicValue.MINUS_INFINITY: MINUS_INF,
         }
         try:
-            total = extreal.add(as_ext[vals["s"]], as_ext[vals["t"]])
+            total = as_ext[vals["s"]] + as_ext[vals["t"]]
         except IllPosedError:
             _fail("a defined union mixed the infinities")
         if total != as_ext[vals["u"]]:

@@ -32,7 +32,7 @@ from . import extreal
 from .density import Probability, RandomVariable
 from .errors import SchemaError
 from .extreal import ExtReal
-from .measure import Measure, validate_measure
+from .measure import AtomVector, Measure
 from .partial import MaximalPartialMeasure, PartialMeasure, validate_partial
 from .spaces import FiniteSpace, MeasurableSet, generate_algebra
 
@@ -102,44 +102,38 @@ def parse_space(obj: Any) -> FiniteSpace:
         raise SchemaError(f"space: {exc}") from None
 
 
-def _atom_values_payload(space: FiniteSpace, values) -> dict:
-    return {space.atom_label(i): str(v) for i, v in enumerate(values)}
+def _vector_codec(
+    kind: str, cls: type[AtomVector], key: str
+) -> tuple[Callable[[Any], AtomVector], Callable[[AtomVector], dict]]:
+    """Parser and payload builder for an atom-vector kind stored under ``key``."""
+
+    def parse(obj: Any) -> AtomVector:
+        space = parse_space(_require(obj, "space", dict, kind))
+        table = _require(obj, key, dict, kind)
+        labels = space.atom_labels
+        if set(table) != set(labels):
+            raise SchemaError(
+                f"{kind}: {key!r} must have one entry per atom {sorted(labels)}"
+            )
+        return cls(space, [_parse_value(table[lab], kind) for lab in labels])
+
+    def payload(vec: AtomVector) -> dict:
+        labels = vec.space.atom_labels
+        return {
+            "space": space_payload(vec.space),
+            key: {lab: str(v) for lab, v in zip(labels, vec.atom_values)},
+        }
+
+    return parse, payload
 
 
-def _parse_atom_values(obj: Any, key: str, space: FiniteSpace, where: str) -> list[ExtReal]:
-    table = _require(obj, key, dict, where)
-    labels = space.atom_labels
-    if set(table) != set(labels):
-        raise SchemaError(
-            f"{where}: {key!r} must have one entry per atom {sorted(labels)}"
-        )
-    return [_parse_value(table[lab], where) for lab in labels]
-
-
-def measure_payload(m: Measure) -> dict:
-    return {
-        "space": space_payload(m.space),
-        "values": _atom_values_payload(m.space, m.atom_values),
-    }
-
-
-def parse_measure(obj: Any) -> Measure:
-    space = parse_space(_require(obj, "space", dict, "measure"))
-    return validate_measure(space, _parse_atom_values(obj, "values", space, "measure"))
-
-
-def maximal_payload(mu: MaximalPartialMeasure) -> dict:
-    return {
-        "space": space_payload(mu.space),
-        "atom_values": _atom_values_payload(mu.space, mu.atom_values),
-    }
-
-
-def parse_maximal(obj: Any) -> MaximalPartialMeasure:
-    space = parse_space(_require(obj, "space", dict, "maximal"))
-    return MaximalPartialMeasure(
-        space, _parse_atom_values(obj, "atom_values", space, "maximal")
-    )
+parse_measure, measure_payload = _vector_codec("measure", Measure, "values")
+parse_maximal, maximal_payload = _vector_codec(
+    "maximal", MaximalPartialMeasure, "atom_values"
+)
+parse_randomvariable, randomvariable_payload = _vector_codec(
+    "randomvariable", RandomVariable, "values"
+)
 
 
 def partial_payload(pm: PartialMeasure) -> dict:
@@ -196,20 +190,6 @@ def parse_probability(obj: Any) -> Probability:
         except ValueError as exc:
             raise SchemaError(f"probability: {exc}") from None
     return Probability(space, probs)
-
-
-def randomvariable_payload(xi: RandomVariable) -> dict:
-    return {
-        "space": space_payload(xi.space),
-        "values": _atom_values_payload(xi.space, xi.atom_values),
-    }
-
-
-def parse_randomvariable(obj: Any) -> RandomVariable:
-    space = parse_space(_require(obj, "space", dict, "randomvariable"))
-    return RandomVariable(
-        space, _parse_atom_values(obj, "values", space, "randomvariable")
-    )
 
 
 INSTANCE_KINDS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], dict]]] = {

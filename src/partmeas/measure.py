@@ -1,28 +1,40 @@
-"""Total measures on a finite algebra, and the classical positive/negative
-split of the whole space.
+"""Atom-value vectors, total measures on a finite algebra, and the
+classical positive/negative split of the whole space.
 
-A measure is stored by its atom values only; set values are always
-recomputed as atom sums, so additivity cannot be violated by stored
-state.  The single structural invariant is that the atom vector never
-contains both +inf and -inf, which keeps every evaluation well-posed.
+Every set function in the package that is determined by its atoms
+(measures, maximal partial measures, random variables) is an
+:class:`AtomVector`: a space plus one extended-real value per atom.  Set
+values are always recomputed as atom sums, so additivity cannot be
+violated by stored state.  A measure adds one structural invariant: its
+atom vector never contains both +inf and -inf, which keeps every
+evaluation well-posed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import extreal
 from .errors import MixedInfinitiesError, NotPositiveError, SpaceMismatchError
 from .extreal import PLUS_INF, ZERO, ExtReal
 from .spaces import FiniteSpace, MeasurableSet, iter_bits
 
-__all__ = ["Measure", "PositiveMeasure", "validate_measure", "hahn_decomposition"]
+__all__ = ["AtomVector", "Measure", "PositiveMeasure", "hahn_decomposition"]
 
 
-class Measure:
-    """Extended-real measure on a finite algebra, given by atom values."""
+class AtomVector:
+    """One extended-real value per atom of a finite space.
 
-    __slots__ = ("space", "atom_values", "_pos_mask", "_neg_mask")
+    ``pos_inf_mask`` and ``neg_inf_mask`` are the atom masks of the
+    values +inf and -inf.  Two vectors are equal when they have the same
+    kind, space and values; a subclass keeps its parent's kind unless it
+    sets ``_kind`` itself, so a measure equals a positive measure with
+    the same values, but never a maximal partial measure.
+    """
+
+    __slots__ = ("space", "atom_values", "pos_inf_mask", "neg_inf_mask")
+
+    _kind = "vector"
 
     def __init__(self, space: FiniteSpace, atom_values: Sequence[ExtReal]):
         values = tuple(atom_values)
@@ -35,31 +47,31 @@ class Measure:
             if not isinstance(v, ExtReal):
                 raise TypeError(f"ExtReal required, got {type(v).__name__}")
             if not v.is_finite:
-                if v is PLUS_INF or v == PLUS_INF:
+                if v == PLUS_INF:
                     pos |= 1 << i
                 else:
                     neg |= 1 << i
-        if pos and neg:
-            raise MixedInfinitiesError(
-                "a measure can attain at most one of +inf, -inf"
-            )
         self.space = space
         self.atom_values = values
-        self._pos_mask = pos
-        self._neg_mask = neg
+        self.pos_inf_mask = pos
+        self.neg_inf_mask = neg
 
-    def evaluate(self, a: MeasurableSet) -> ExtReal:
-        """Sum of atom values over the atoms of ``a``; always well-posed."""
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to the measure's space")
-        return extreal.sum(self.atom_values[i] for i in iter_bits(a.mask))
+    def nonneg_mask(self) -> int:
+        """Mask of the atoms with value >= 0."""
+        return sum(1 << i for i, v in enumerate(self.atom_values) if v >= ZERO)
 
-    __call__ = evaluate
+    def nonpos_mask(self) -> int:
+        """Mask of the atoms with value <= 0."""
+        return sum(1 << i for i, v in enumerate(self.atom_values) if v <= ZERO)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Measure):
+        if not isinstance(other, AtomVector):
             return NotImplemented
-        return self.space == other.space and self.atom_values == other.atom_values
+        return (
+            self._kind == other._kind
+            and self.space == other.space
+            and self.atom_values == other.atom_values
+        )
 
     def __hash__(self) -> int:
         return hash((self.space, self.atom_values))
@@ -69,6 +81,29 @@ class Measure:
             f"{self.space.atom_label(i)}={v}" for i, v in enumerate(self.atom_values)
         )
         return f"{type(self).__name__}({vals})"
+
+
+class Measure(AtomVector):
+    """Extended-real measure on a finite algebra, given by atom values."""
+
+    __slots__ = ()
+
+    _kind = "measure"
+
+    def __init__(self, space: FiniteSpace, atom_values: Sequence[ExtReal]):
+        super().__init__(space, atom_values)
+        if self.pos_inf_mask and self.neg_inf_mask:
+            raise MixedInfinitiesError(
+                "a measure can attain at most one of +inf, -inf"
+            )
+
+    def evaluate(self, a: MeasurableSet) -> ExtReal:
+        """Sum of atom values over the atoms of ``a``; always well-posed."""
+        if a.space != self.space:
+            raise SpaceMismatchError("set does not belong to the measure's space")
+        return extreal.sum(self.atom_values[i] for i in iter_bits(a.mask))
+
+    __call__ = evaluate
 
 
 class PositiveMeasure(Measure):
@@ -89,21 +124,15 @@ class PositiveMeasure(Measure):
         return cls(space, [ZERO] * space.n_atoms)
 
 
-def validate_measure(space: FiniteSpace, atom_values: Iterable[ExtReal]) -> Measure:
-    """Construct a measure, rejecting vectors that mix +inf and -inf."""
-    return Measure(space, tuple(atom_values))
-
-
-def hahn_decomposition(m: Measure) -> tuple[MeasurableSet, MeasurableSet]:
+def hahn_decomposition(m: AtomVector) -> tuple[MeasurableSet, MeasurableSet]:
     """Split the space into a nonnegative part P and a nonpositive part N.
 
     Every measurable subset of P has value >= 0, every measurable subset
     of N has value <= 0.  The split is not unique; the canonical choice
-    here puts zero-valued atoms into P.
+    here puts zero-valued atoms into P.  It serves measures and maximal
+    partial measures alike: on a finite algebra the split always exists
+    (P is in F+ and N in F-), while the symbolic two-half model shows it
+    can fail on richer algebras.
     """
-    pmask = 0
-    for i, v in enumerate(m.atom_values):
-        if v >= ZERO:
-            pmask |= 1 << i
-    p = MeasurableSet(m.space, pmask)
+    p = MeasurableSet(m.space, m.nonneg_mask())
     return p, p.complement()

@@ -41,8 +41,14 @@ from .errors import (
     UnknownPointError,
 )
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
-from .measure import PositiveMeasure
-from .spaces import ENUMERATION_CAP, FiniteSpace, MeasurableSet, iter_bits
+from .measure import AtomVector, PositiveMeasure, hahn_decomposition
+from .spaces import (
+    ENUMERATION_CAP,
+    FiniteSpace,
+    MeasurableSet,
+    iter_bits,
+    iter_submasks,
+)
 
 __all__ = [
     "PartialMeasure",
@@ -128,37 +134,19 @@ class PartialMeasure:
         return f"PartialMeasure({len(self._masks)} sets on {self.space!r})"
 
 
-class MaximalPartialMeasure:
+class MaximalPartialMeasure(AtomVector):
     """A maximal partial measure: an atom-value vector, any values allowed.
 
     The derived domain is the family of sets whose atoms do not carry
     both +inf and -inf; the derived value is the atom sum.
     """
 
-    __slots__ = ("space", "atom_values", "_pos_mask", "_neg_mask")
+    __slots__ = ()
 
-    def __init__(self, space: FiniteSpace, atom_values: Sequence[ExtReal]):
-        values = tuple(atom_values)
-        if len(values) != space.n_atoms:
-            raise ValueError(
-                f"expected {space.n_atoms} atom values, got {len(values)}"
-            )
-        pos = neg = 0
-        for i, v in enumerate(values):
-            if not isinstance(v, ExtReal):
-                raise TypeError(f"ExtReal required, got {type(v).__name__}")
-            if not v.is_finite:
-                if v == PLUS_INF:
-                    pos |= 1 << i
-                else:
-                    neg |= 1 << i
-        self.space = space
-        self.atom_values = values
-        self._pos_mask = pos
-        self._neg_mask = neg
+    _kind = "maximal"
 
     def in_domain_mask(self, mask: int) -> bool:
-        return not (mask & self._pos_mask and mask & self._neg_mask)
+        return not (mask & self.pos_inf_mask and mask & self.neg_inf_mask)
 
     def in_domain(self, a: MeasurableSet) -> bool:
         if a.space != self.space:
@@ -182,20 +170,6 @@ class MaximalPartialMeasure:
             for m in range(1 << self.space.n_atoms)
             if self.in_domain_mask(m)
         ]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MaximalPartialMeasure):
-            return NotImplemented
-        return self.space == other.space and self.atom_values == other.atom_values
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.atom_values))
-
-    def __repr__(self) -> str:
-        vals = ", ".join(
-            f"{self.space.atom_label(i)}={v}" for i, v in enumerate(self.atom_values)
-        )
-        return f"MaximalPartialMeasure({vals})"
 
 
 def validate_partial(
@@ -262,17 +236,19 @@ def validate_partial(
                 f"value {vmap[mask]} of {MeasurableSet(space, mask).key()!r} "
                 f"differs from its atom sum {total}"
             )
+    return PartialMeasure(space, _down_closure(vmap, atom_vals))
 
+
+def _down_closure(
+    masks: Iterable[int], atom_values: Mapping[int, ExtReal] | Sequence[ExtReal]
+) -> dict[int, ExtReal]:
+    """The empty set and every subset of ``masks``, valued by atom sums."""
     closed: dict[int, ExtReal] = {0: ZERO}
-    for mask in vmap:
-        sub = mask
-        while True:
+    for mask in masks:
+        for sub in iter_submasks(mask):
             if sub not in closed:
-                closed[sub] = extreal.sum(atom_vals[i] for i in iter_bits(sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-    return PartialMeasure(space, closed)
+                closed[sub] = extreal.sum(atom_values[i] for i in iter_bits(sub))
+    return closed
 
 
 def _finite_sum_table(values: Sequence[ExtReal], k: int) -> list[Fraction]:
@@ -297,26 +273,11 @@ def diff_measures(
         raise NotPositiveError("diff_measures requires two positive measures")
     if m1.space != m2.space:
         raise SpaceMismatchError("measures live on different spaces")
-    space = m1.space
-    k = space.n_atoms
-    _check_cap(k, cap)
-    inf1 = m1._pos_mask
-    inf2 = m2._pos_mask
-    fs1 = _finite_sum_table(m1.atom_values, k)
-    fs2 = _finite_sum_table(m2.atom_values, k)
-    values: dict[int, ExtReal] = {}
-    for mask in range(1 << k):
-        hit1 = mask & inf1
-        hit2 = mask & inf2
-        if hit1 and hit2:
-            continue
-        if hit1:
-            values[mask] = PLUS_INF
-        elif hit2:
-            values[mask] = MINUS_INF
-        else:
-            values[mask] = ExtReal(fs1[mask] - fs2[mask])
-    return PartialMeasure(space, values)
+    pairs = zip(value_table(m1, cap), value_table(m2, cap))
+    values = {
+        mask: v1 - v2 for mask, (v1, v2) in enumerate(pairs) if not v1 == v2 == PLUS_INF
+    }
+    return PartialMeasure(m1.space, values)
 
 
 def maximalize(
@@ -354,17 +315,16 @@ def maximalize(
     return MaximalPartialMeasure(space, atom_values)
 
 
-def value_table(mu, cap: int | None = None) -> list[ExtReal | None]:
+def value_table(mu: AtomVector, cap: int | None = None) -> list[ExtReal | None]:
     """Values of every set, indexed by atom mask; None where ill-posed.
 
-    Works for any atom-valued set function exposing ``space``,
-    ``atom_values`` and the infinity masks, i.e. both measures and
-    maximal partial measures.  For a measure no entry is None.
+    Works for any atom vector, i.e. both measures and maximal partial
+    measures.  For a measure no entry is None.
     """
     k = mu.space.n_atoms
     _check_cap(k, cap)
-    pos = mu._pos_mask
-    neg = mu._neg_mask
+    pos = mu.pos_inf_mask
+    neg = mu.neg_inf_mask
     finite_sums = _finite_sum_table(mu.atom_values, k)
     table: list[ExtReal | None] = [None] * (1 << k)
     for mask in range(1 << k):
@@ -377,85 +337,65 @@ def value_table(mu, cap: int | None = None) -> list[ExtReal | None]:
     return table
 
 
-def _family_masks(table: Sequence[ExtReal | None], plus: bool) -> list[int]:
-    """Masks of domain sets all of whose subsets have sign-constrained value.
-
-    Literal brute force: every submask of every candidate is inspected.
-    """
-    out = []
-    for f in range(len(table)):
-        if table[f] is None:
-            continue
-        good = True
-        sub = f
-        while True:
-            v = table[sub]
-            if (v < ZERO) if plus else (v > ZERO):
-                good = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & f
-        if good:
-            out.append(f)
-    return out
+# On a finite algebra every atom is a measurable subset of any set that
+# contains it, so the sign classes and the defining suprema reduce to
+# atomwise rules.  The literal definitions (every submask of every
+# candidate set inspected) are kept in the test suite as the oracle
+# these closed forms are checked against.
 
 
 def f_plus(mu: MaximalPartialMeasure, cap: int | None = None) -> list[MeasurableSet]:
-    """Domain sets whose every measurable subset has value >= 0."""
-    table = value_table(mu, cap)
-    return [MeasurableSet(mu.space, m) for m in _family_masks(table, plus=True)]
+    """Domain sets whose every measurable subset has value >= 0.
+
+    These are exactly the subsets of the atoms with value >= 0, listed
+    in canonical mask order.
+    """
+    _check_cap(mu.space.n_atoms, cap)
+    return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonneg_mask())]
 
 
 def f_minus(mu: MaximalPartialMeasure, cap: int | None = None) -> list[MeasurableSet]:
-    """Domain sets whose every measurable subset has value <= 0."""
-    table = value_table(mu, cap)
-    return [MeasurableSet(mu.space, m) for m in _family_masks(table, plus=False)]
+    """Domain sets whose every measurable subset has value <= 0.
 
-
-def _sup_over_family(
-    table: Sequence[ExtReal | None], family: Sequence[int], a_mask: int, flip: bool
-) -> tuple[ExtReal, int]:
-    """sup over F in family of mu(A ∩ F) (negated when ``flip``).
-
-    A ∩ F is a subset of the domain set F, so the lookup never hits an
-    ill-posed entry.  Ties keep the first attaining set in canonical
-    enumeration order.
+    These are exactly the subsets of the atoms with value <= 0, listed
+    in canonical mask order.
     """
-    best: ExtReal | None = None
-    best_mask = 0
-    for f in family:
-        v = table[a_mask & f]
-        if flip:
-            v = -v
-        if best is None or v > best:
-            best = v
-            best_mask = f
-    assert best is not None  # family always contains the empty set
-    return best, best_mask
+    _check_cap(mu.space.n_atoms, cap)
+    return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonpos_mask())]
+
+
+def _check_side(side: str) -> None:
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def jordan_sup(
-    mu: MaximalPartialMeasure,
-    a: MeasurableSet,
-    side: str,
-    cap: int | None = None,
+    mu: MaximalPartialMeasure, a: MeasurableSet, side: str
 ) -> tuple[ExtReal, MeasurableSet]:
     """Evaluate the defining supremum of the decomposition at one set.
 
     side="plus":  sup over F in F+ of mu(A ∩ F)
     side="minus": sup over F in F- of -mu(A ∩ F)
 
-    Returns the value together with the attaining set.
+    Returns the value together with the attaining set, the first one in
+    canonical enumeration order of the class.  In closed form, with the
+    values negated for side="minus": when A has a +inf atom the value is
+    +inf, attained at the lowest such atom; otherwise it is the sum of
+    the positive atom values in A, attained at the set of those atoms.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    _check_side(side)
     if a.space != mu.space:
         raise SpaceMismatchError("set does not belong to this space")
-    table = value_table(mu, cap)
-    family = _family_masks(table, plus=(side == "plus"))
-    v, f = _sup_over_family(table, family, a.mask, flip=(side == "minus"))
-    return v, MeasurableSet(mu.space, f)
+    total = ZERO
+    attaining = 0
+    for i in iter_bits(a.mask):
+        v = mu.atom_values[i] if side == "plus" else -mu.atom_values[i]
+        if v == PLUS_INF:
+            return PLUS_INF, MeasurableSet(mu.space, 1 << i)
+        if v > ZERO:
+            total += v
+            attaining |= 1 << i
+    return total, MeasurableSet(mu.space, attaining)
 
 
 @dataclass(frozen=True)
@@ -468,10 +408,8 @@ class JordanDecomposition:
     minus_attaining: tuple[MeasurableSet, ...]
 
 
-def jordan_decompose_detailed(
-    mu: MaximalPartialMeasure, cap: int | None = None
-) -> JordanDecomposition:
-    """Decompose via the literal supremum formulas over F+ and F-.
+def jordan_decompose_detailed(mu: MaximalPartialMeasure) -> JordanDecomposition:
+    """Decompose via the supremum formulas over F+ and F- at each atom.
 
     Both parts are positive measures; on every domain set A the identity
     mu(A) = mu_plus(A) - mu_minus(A) holds exactly, and outside the
@@ -479,62 +417,44 @@ def jordan_decompose_detailed(
     for diagnostics.
     """
     space = mu.space
-    table = value_table(mu, cap)
-    plus_family = _family_masks(table, plus=True)
-    minus_family = _family_masks(table, plus=False)
-    plus_vals: list[ExtReal] = []
-    minus_vals: list[ExtReal] = []
-    plus_att: list[MeasurableSet] = []
-    minus_att: list[MeasurableSet] = []
-    for i in range(space.n_atoms):
-        v, f = _sup_over_family(table, plus_family, 1 << i, flip=False)
-        plus_vals.append(v)
-        plus_att.append(MeasurableSet(space, f))
-        w, g = _sup_over_family(table, minus_family, 1 << i, flip=True)
-        minus_vals.append(w)
-        minus_att.append(MeasurableSet(space, g))
+    plus = [jordan_sup(mu, space.atom_set(i), "plus") for i in range(space.n_atoms)]
+    minus = [jordan_sup(mu, space.atom_set(i), "minus") for i in range(space.n_atoms)]
     return JordanDecomposition(
-        PositiveMeasure(space, plus_vals),
-        PositiveMeasure(space, minus_vals),
-        tuple(plus_att),
-        tuple(minus_att),
+        PositiveMeasure(space, [v for v, _ in plus]),
+        PositiveMeasure(space, [v for v, _ in minus]),
+        tuple(f for _, f in plus),
+        tuple(f for _, f in minus),
     )
 
 
 def jordan_decompose(
-    mu: MaximalPartialMeasure, cap: int | None = None
+    mu: MaximalPartialMeasure,
 ) -> tuple[PositiveMeasure, PositiveMeasure]:
-    d = jordan_decompose_detailed(mu, cap)
+    d = jordan_decompose_detailed(mu)
     return d.mu_plus, d.mu_minus
 
 
 def check_minimality(
-    mu: MaximalPartialMeasure,
-    candidate: PositiveMeasure,
-    side: str,
-    cap: int | None = None,
+    mu: MaximalPartialMeasure, candidate: PositiveMeasure, side: str
 ) -> bool:
     """Does ``candidate`` dominate mu (side="plus") or -mu (side="minus")
     on every domain set?
 
-    Whenever this returns True, the corresponding decomposition part is
-    pointwise below the candidate on the whole algebra; that extremal
-    guarantee is asserted by the test suite, not here.
+    Every atom is a domain set, and a domain set never mixes the
+    infinities, so domination on all domain sets is exactly domination
+    on each atom.  Whenever this returns True, the corresponding
+    decomposition part is pointwise below the candidate on the whole
+    algebra; that extremal guarantee is asserted by the test suite, not
+    here.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    _check_side(side)
     if candidate.space != mu.space:
         raise SpaceMismatchError("candidate lives on a different space")
-    table = value_table(mu, cap)
-    cand_table = value_table(candidate, cap)
     flip = side == "minus"
-    for mask, v in enumerate(table):
-        if v is None:
-            continue
-        lhs = -v if flip else v
-        if not lhs <= cand_table[mask]:
-            return False
-    return True
+    return all(
+        (-v if flip else v) <= c
+        for v, c in zip(mu.atom_values, candidate.atom_values)
+    )
 
 
 def corollary1_witness(
@@ -550,33 +470,18 @@ def corollary1_witness(
         raise SpaceMismatchError("set does not belong to this space")
     if mu.in_domain_mask(a.mask):
         raise InDomainError(f"{a!r} has a well-posed value")
-    nonneg = nonpos = 0
-    for i in iter_bits(a.mask):
-        v = mu.atom_values[i]
-        if v >= ZERO:
-            nonneg |= 1 << i
-        if v <= ZERO:
-            nonpos |= 1 << i
-    return MeasurableSet(mu.space, nonneg), MeasurableSet(mu.space, nonpos)
+    return (
+        MeasurableSet(mu.space, a.mask & mu.nonneg_mask()),
+        MeasurableSet(mu.space, a.mask & mu.nonpos_mask()),
+    )
 
 
-def hahn_partial(
-    mu: MaximalPartialMeasure,
-) -> tuple[MeasurableSet, MeasurableSet]:
-    """Split the space into C in F+ and its complement in F-.
-
-    On a finite algebra this always succeeds (take the union of the
-    atoms with value >= 0).  The symbolic two-half model shows the same
-    split can fail on richer algebras, so this operation exists to make
-    the finite-scale contrast executable rather than to promise anything
-    in general.
-    """
-    pmask = 0
-    for i, v in enumerate(mu.atom_values):
-        if v >= ZERO:
-            pmask |= 1 << i
-    c = MeasurableSet(mu.space, pmask)
-    return c, c.complement()
+# Split the space into C in F+ and its complement in F-.  On a finite
+# algebra this always succeeds; the symbolic two-half model shows the same
+# split can fail on richer algebras, so the name exists to make that
+# finite-scale contrast executable rather than to promise anything in
+# general.
+hahn_partial = hahn_decomposition
 
 
 def restrict_to(
@@ -587,22 +492,14 @@ def restrict_to(
     Every generator must lie in the derived domain.  The result's domain
     is the union of the generators' subset lattices plus the empty set.
     """
-    values: dict[int, ExtReal] = {0: ZERO}
+    masks = []
     for g in generators:
         if g.space != mu.space:
             raise SpaceMismatchError("generator on a different space")
         if not mu.in_domain_mask(g.mask):
             raise NotInDomainError(f"{g!r} is outside the derived domain")
-        sub = g.mask
-        while True:
-            if sub not in values:
-                values[sub] = extreal.sum(
-                    mu.atom_values[i] for i in iter_bits(sub)
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & g.mask
-    return PartialMeasure(mu.space, values)
+        masks.append(g.mask)
+    return PartialMeasure(mu.space, _down_closure(masks, mu.atom_values))
 
 
 def _determined_infinity_masks(pm: PartialMeasure) -> tuple[int, int]:
@@ -642,16 +539,7 @@ def single_set_extensions(
 
 def is_maximal(pm: PartialMeasure, cap: int | None = None) -> bool:
     """True when no single-set extension exists."""
-    k = pm.space.n_atoms
-    _check_cap(k, cap)
-    pos, neg = _determined_infinity_masks(pm)
-    for mask in range(1 << k):
-        if mask in pm._values:
-            continue
-        if mask & pos and mask & neg:
-            continue
-        return False
-    return True
+    return not single_set_extensions(pm, cap)
 
 
 def can_extend_with(

@@ -43,6 +43,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def iter_submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, ascending, from 0 to ``mask`` itself."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 class FiniteSpace:
     """A finite point set with an algebra given by its atom partition.
 

@@ -32,7 +32,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .errors import NotInAlgebraError
+from .errors import InvalidConfigError, NotInAlgebraError
 
 __all__ = [
     "FINITE",
@@ -40,9 +40,6 @@ __all__ = [
     "HalfSet",
     "SymbolicSet",
     "SymbolicValue",
-    "sym_complement",
-    "sym_union",
-    "sym_intersect",
     "sym_in_algebra",
     "mu3",
     "FPlusDecision",
@@ -181,18 +178,6 @@ class SymbolicSet:
         return self.intersect(other) == self
 
 
-def sym_complement(s: SymbolicSet) -> SymbolicSet:
-    return s.complement()
-
-
-def sym_union(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
-    return s.union(t)
-
-
-def sym_intersect(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
-    return s.intersect(t)
-
-
 def sym_in_algebra(s: SymbolicSet) -> bool:
     """Membership rule of the modelled algebra: both halves same kind."""
     return s.b_part.kind == s.bc_part.kind
@@ -312,8 +297,11 @@ def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
 
     Two-step case analysis, each step computed on concrete sets, plus a
     seeded fuzz pass over random algebra members looking for a
-    counterexample.  Returns a machine-readable report.
+    counterexample.  Returns a machine-readable report; raises
+    InvalidConfigError when ``trials`` is below 1.
     """
+    if trials < 1:
+        raise InvalidConfigError("trials must be >= 1")
     rng = random.Random(seed)
     step1_checked = step1_violations = 0
     step2_checked = step2_violations = 0

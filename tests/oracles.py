@@ -8,7 +8,7 @@ machinery, so agreement between the two routes is informative.
 
 from fractions import Fraction
 
-from partmeas import ExtReal, MINUS_INF, PLUS_INF
+from partmeas import ExtReal, MINUS_INF, PLUS_INF, ZERO
 
 
 def closure_of_family(points, generators):
@@ -129,3 +129,70 @@ def quasi_integrable(xi_values, probs, mask):
         elif v == MINUS_INF:
             neg_infinite = True
     return not (pos_infinite and neg_infinite)
+
+
+# ---------------------------------------------------------------------------
+# the literal definitions of the decomposition, as the paper states them;
+# the library computes the same results in closed form.  They read values
+# from a table indexed by mask: scratch_table below, or the library's
+# value_table where speed matters (that table is itself checked against
+# eval_scratch)
+
+
+def scratch_table(values, n_atoms):
+    """Values of every set by mask, recomputed from scratch; None if ill-posed."""
+    return [eval_scratch(values, m) for m in range(1 << n_atoms)]
+
+
+def family_masks(table, plus):
+    """Masks of domain sets all of whose subsets have sign-constrained value.
+
+    Literal brute force: every submask of every candidate is inspected.
+    """
+    out = []
+    for f in range(len(table)):
+        if table[f] is None:
+            continue
+        good = True
+        sub = f
+        while True:
+            v = table[sub]
+            if (v < ZERO) if plus else (v > ZERO):
+                good = False
+                break
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+        if good:
+            out.append(f)
+    return out
+
+
+def sup_over_family(table, family, a_mask, flip):
+    """sup over F in family of mu(A ∩ F) (negated when ``flip``).
+
+    A ∩ F is a subset of the domain set F, so the lookup never hits an
+    ill-posed entry.  Ties keep the first attaining set in canonical
+    enumeration order.
+    """
+    best = None
+    best_mask = 0
+    for f in family:
+        v = table[a_mask & f]
+        if flip:
+            v = -v
+        if best is None or v > best:
+            best = v
+            best_mask = f
+    assert best is not None  # family always contains the empty set
+    return best, best_mask
+
+
+def literal_dominates(table, candidate_table, side):
+    """Does the candidate dominate mu (or -mu) on every domain set?"""
+    for mask, v in enumerate(table):
+        if v is None:
+            continue
+        if not (-v if side == "minus" else v) <= candidate_table[mask]:
+            return False
+    return True

@@ -256,3 +256,32 @@ def test_unknown_point_in_set_flag(files, capsys):
     code, out = run(capsys, "corollary1", files["maximal"], "--set", "z")
     assert code == 2
     assert out["error"]["code"] == "UnknownPoint"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_example3_rejects_nonpositive_trials(capsys, trials):
+    code, out = run(capsys, "example3", "--trials", trials)
+    assert code == 2
+    assert out["error"]["code"] == "InvalidConfig"
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    f = tmp_path / "nested.json"
+    f.write_text("[" * 100_000)
+    code, out = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out["error"]["code"] == "Schema"
+
+
+def test_jordan_at_the_enumeration_cap(tmp_path, capsys):
+    labels = [f"p{i:02d}" for i in range(20)]
+    f = tmp_path / "ones.json"
+    f.write_text(json.dumps({
+        "kind": "maximal",
+        "payload": {"space": {"points": labels},
+                    "atom_values": {lab: "1" for lab in labels}},
+    }))
+    code, out = run(capsys, "jordan", str(f), "--no-banner")
+    assert code == 0
+    assert out["mu_plus"]["payload"]["values"] == {lab: "1" for lab in labels}
+    assert out["mu_minus"]["payload"]["values"] == {lab: "0" for lab in labels}

@@ -2,9 +2,8 @@
 
 ``corpus/cases.json`` lists each case's argv (relative to ``corpus/``)
 and exit code; ``corpus/expected/<name>.out`` holds the exact stdout.
-The outputs were captured from the command-line tool before the
-decomposition was rewritten in closed form, so this test pins the CLI's
-observable behaviour across refactors of the library.
+The recorded outputs are the reference: a library change that alters
+any byte of CLI output fails here.
 """
 
 import json

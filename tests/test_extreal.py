@@ -19,10 +19,12 @@ values = st.one_of(
 
 
 def test_add_examples():
-    assert extreal.add(E(Fraction(3, 2)), E(-2)) == E(Fraction(-1, 2))
-    assert extreal.add(PLUS_INF, E(5)) == PLUS_INF
+    assert E(Fraction(3, 2)) + E(-2) == E(Fraction(-1, 2))
+    assert PLUS_INF + E(5) == PLUS_INF
     with pytest.raises(IllPosedError):
-        extreal.add(PLUS_INF, MINUS_INF)
+        PLUS_INF + MINUS_INF
+    with pytest.raises(TypeError):
+        E(1) + 1
 
 
 def test_sum_examples():
@@ -33,9 +35,9 @@ def test_sum_examples():
 
 
 def test_negate_examples():
-    assert extreal.negate(E(0)) == E(0)
-    assert extreal.negate(PLUS_INF) == MINUS_INF
-    assert extreal.negate(E(-2)) == E(2)
+    assert -E(0) == E(0)
+    assert -PLUS_INF == MINUS_INF
+    assert -E(-2) == E(2)
 
 
 def test_total_order():
@@ -79,13 +81,13 @@ def test_encode_parse_roundtrip(x):
 
 @given(values)
 def test_negate_involution(x):
-    assert extreal.negate(extreal.negate(x)) == x
+    assert -(-x) == x
 
 
 @given(rationals)
 def test_additive_inverse(q):
     x = ExtReal(q)
-    assert extreal.add(x, extreal.negate(x)) == ZERO
+    assert x + -x == ZERO
 
 
 @given(st.lists(values, max_size=8), st.integers())
@@ -108,7 +110,7 @@ def test_sum_permutation_and_bracketing_invariance(xs, seed):
         if len(items) == 1:
             return items[0]
         cut = rng.randint(1, len(items) - 1)
-        return extreal.add(fold(items[:cut]), fold(items[cut:]))
+        return fold(items[:cut]) + fold(items[cut:])
 
     assert fold(xs) == total
 
@@ -118,8 +120,8 @@ def test_order_compatible_with_addition(a, b, c, d):
     x, y = sorted((a, b))
     u, v = sorted((c, d))
     try:
-        left = extreal.add(x, u)
-        right = extreal.add(y, v)
+        left = x + u
+        right = y + v
     except IllPosedError:
         return
     assert left <= right

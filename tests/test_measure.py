@@ -7,15 +7,15 @@ from partmeas import (
     ExtReal,
     FiniteSpace,
     MINUS_INF,
+    MaximalPartialMeasure,
     MeasurableSet,
     Measure,
     PLUS_INF,
     PositiveMeasure,
+    RandomVariable,
     ZERO,
     hahn_decomposition,
-    validate_measure,
 )
-from partmeas import extreal
 from partmeas.errors import MixedInfinitiesError, NotPositiveError, SpaceMismatchError
 from oracles import eval_scratch, submasks
 
@@ -31,12 +31,41 @@ def test_evaluate_examples():
 
 
 def test_validate_examples():
-    zero = validate_measure(FiniteSpace.discrete("abc"), [ZERO, ZERO, ZERO])
+    zero = Measure(FiniteSpace.discrete("abc"), iter([ZERO, ZERO, ZERO]))
     assert all(v == ZERO for v in zero.atom_values)
-    ok = validate_measure(FiniteSpace.discrete("ab"), [E(Fraction(1, 3)), PLUS_INF])
+    ok = Measure(FiniteSpace.discrete("ab"), [E(Fraction(1, 3)), PLUS_INF])
     assert ok.atom_values[1] == PLUS_INF
     with pytest.raises(MixedInfinitiesError):
-        validate_measure(FiniteSpace.discrete("ab"), [PLUS_INF, MINUS_INF])
+        Measure(FiniteSpace.discrete("ab"), [PLUS_INF, MINUS_INF])
+
+
+@pytest.mark.parametrize(
+    "cls", [Measure, PositiveMeasure, MaximalPartialMeasure, RandomVariable]
+)
+def test_atom_vector_checks_and_masks(cls):
+    with pytest.raises(ValueError):
+        cls(SPACE4, [ZERO] * 3)
+    with pytest.raises(TypeError):
+        cls(SPACE4, [ZERO, ZERO, ZERO, 1])
+    v = cls(SPACE4, [E(2), PLUS_INF, ZERO, PLUS_INF])
+    assert (v.pos_inf_mask, v.neg_inf_mask) == (0b1010, 0)
+    assert repr(v) == f"{cls.__name__}(a=2, b=+inf, c=0, d=+inf)"
+
+
+def test_atom_vector_equality_semantics():
+    values = [E(2), PLUS_INF, ZERO, E(Fraction(1, 2))]
+    m = Measure(SPACE4, values)
+    pm = PositiveMeasure(SPACE4, values)
+    mu = MaximalPartialMeasure(SPACE4, values)
+    xi = RandomVariable(SPACE4, values)
+    assert m == pm and pm == m and hash(m) == hash(pm)
+    for a, b in ((m, mu), (m, xi), (mu, xi), (pm, mu), (pm, xi)):
+        assert a != b and b != a
+    assert xi == RandomVariable(SPACE4, values)
+    assert len({xi, RandomVariable(SPACE4, values), mu, m, pm}) == 3
+    assert m != Measure(FiniteSpace.discrete("wxyz"), values)
+    assert m != Measure(SPACE4, values[:3] + [ZERO])
+    assert m != values
 
 
 def test_mixed_vector_is_not_a_measure():
@@ -112,7 +141,7 @@ def test_additivity_and_range_exhaustive(seed):
         for sub in submasks(rest):
             a = MeasurableSet(space, mask)
             b = MeasurableSet(space, sub)
-            assert m.evaluate(a | b) == extreal.add(m.evaluate(a), m.evaluate(b))
+            assert m.evaluate(a | b) == m.evaluate(a) + m.evaluate(b)
     assert not (saw_pos and saw_neg)
 
 

@@ -46,7 +46,9 @@ from oracles import (
     brute_f_minus,
     brute_f_plus,
     eval_scratch,
+    literal_dominates,
     pos_eval,
+    scratch_table,
     submasks,
 )
 
@@ -304,7 +306,7 @@ def test_check_minimality_examples():
     d = jordan_decompose_detailed(MIXED)
     assert check_minimality(MIXED, d.mu_plus, "plus")
     bumped = PositiveMeasure(
-        SPACE4, [extreal.add(v, E(1)) for v in d.mu_plus.atom_values]
+        SPACE4, [v + E(1) for v in d.mu_plus.atom_values]
     )
     assert check_minimality(MIXED, bumped, "plus")
     for mask in range(16):
@@ -314,6 +316,28 @@ def test_check_minimality_examples():
     # strictly below the measure on {a}: domination must fail
     lowered = PositiveMeasure(SPACE4, [E(1), ZERO, PLUS_INF, ZERO])
     assert not check_minimality(MIXED, lowered, "plus")
+
+
+def test_check_minimality_matches_literal_comparison():
+    rng = random.Random(4242)
+    pool = [MINUS_INF, E(-2), E(Fraction(-1, 2)), ZERO, E(Fraction(1, 3)), PLUS_INF]
+    candidate_pool = [ZERO, E(Fraction(1, 3)), E(Fraction(1, 2)), E(2), PLUS_INF]
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        space = FiniteSpace.discrete("abcde"[:k])
+        mu = MaximalPartialMeasure(space, [rng.choice(pool) for _ in range(k)])
+        table = scratch_table(mu.atom_values, k)
+        for side in ("plus", "minus"):
+            candidate = PositiveMeasure(
+                space, [rng.choice(candidate_pool) for _ in range(k)]
+            )
+            expected = literal_dominates(
+                table, scratch_table(candidate.atom_values, k), side
+            )
+            assert check_minimality(mu, candidate, side) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_corollary1_examples():
@@ -395,7 +419,7 @@ def test_single_set_extension_really_validates():
     sets = {x: pm.evaluate(x) for x in pm.domain_sets()}
     c = SPACE4.set_from_points(["c"])
     sets[c] = PLUS_INF  # free atom can take any value
-    sets[s] = extreal.add(pm.evaluate(SPACE4.set_from_points(["a"])), PLUS_INF)
+    sets[s] = pm.evaluate(SPACE4.set_from_points(["a"])) + PLUS_INF
     extended = validate_partial(SPACE4, sets.keys(), sets)
     assert extended.in_domain(s)
 
