@@ -1,9 +1,18 @@
 import pytest
 
+from partmeas import (
+    ExtReal,
+    FiniteSpace,
+    MINUS_INF,
+    MaximalPartialMeasure,
+    fuzzing,
+    jsonio,
+)
 from partmeas.errors import InvalidConfigError
 from partmeas.fuzzing import (
     FuzzConfig,
     PROPERTIES,
+    PropertyViolation,
     generate_random_instance,
     run_fuzz,
 )
@@ -72,3 +81,73 @@ def test_run_fuzz_green_and_deterministic():
 def test_property_names_are_unique():
     names = [name for name, _ in PROPERTIES]
     assert len(names) == len(set(names))
+
+
+def test_failure_path_records_first_counterexample(monkeypatch):
+    mu = MaximalPartialMeasure(FiniteSpace.discrete("ab"), [ExtReal(1), MINUS_INF])
+    calls = []
+
+    def violates(rng, cfg):
+        raise PropertyViolation(
+            "broken invariant", {"mu": jsonio.wrap_instance("maximal", mu)}
+        )
+
+    def crashes(rng, cfg):
+        return 1 // 0
+
+    def fails_twice(rng, cfg):
+        calls.append(None)
+        if len(calls) in (2, 4):
+            raise PropertyViolation(f"call {len(calls)}")
+
+    monkeypatch.setattr(
+        fuzzing,
+        "PROPERTIES",
+        [("violates", violates), ("crashes", crashes), ("fails_twice", fails_twice)],
+    )
+    report, counterexamples = run_fuzz(FuzzConfig(seed=7, trials=4, max_atoms=3))
+    assert report == {
+        "seed": 7,
+        "trials": 4,
+        "max_atoms": 3,
+        "failures": 10,
+        "properties": [
+            {"name": "violates", "trials": 4, "failures": 4},
+            {"name": "crashes", "trials": 4, "failures": 4},
+            {"name": "fails_twice", "trials": 4, "failures": 2},
+        ],
+    }
+    assert counterexamples == [
+        {
+            "property": "violates",
+            "trial": 0,
+            "seed": 7,
+            "detail": "broken invariant",
+            "instance": {
+                "mu": {
+                    "kind": "maximal",
+                    "payload": {
+                        "space": {
+                            "points": ["a", "b"],
+                            "generators": [["a"], ["b"]],
+                        },
+                        "atom_values": {"a": "1", "b": "-inf"},
+                    },
+                }
+            },
+        },
+        {
+            "property": "crashes",
+            "trial": 0,
+            "seed": 7,
+            "detail": "unexpected ZeroDivisionError: integer division or modulo by zero",
+            "instance": {},
+        },
+        {
+            "property": "fails_twice",
+            "trial": 1,
+            "seed": 7,
+            "detail": "call 2",
+            "instance": {},
+        },
+    ]
