@@ -242,12 +242,22 @@ def _render(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(obj: dict, output: str | None) -> None:
+def _emit(obj: dict, output: str | None, code: int) -> int:
+    """Write obj to output (stdout when None) and return the exit code.
+
+    An output file that cannot be written turns into a Schema error
+    object on stdout and exit code 1.
+    """
     text = _render(obj)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+            return code
+        except OSError as exc:
+            text = _render({"error": {"code": "Schema", "detail": str(exc)}})
+            code = 1
+    sys.stdout.write(text)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -260,15 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = handler(args)
     except PartmeasError as exc:
-        _emit({"error": {"code": exc.code, "detail": str(exc)}}, args.output)
-        return 2
+        return _emit({"error": {"code": exc.code, "detail": str(exc)}}, args.output, 2)
     except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:
-        _emit({"error": {"code": "Schema", "detail": str(exc)}}, args.output)
-        return 1
+        return _emit({"error": {"code": "Schema", "detail": str(exc)}}, args.output, 1)
     if not args.no_banner:
         result = {"banner": {"tool": "partmeas", "version": __version__}, **result}
-    _emit(result, args.output)
-    return 0
+    return _emit(result, args.output, 0)
 
 
 if __name__ == "__main__":

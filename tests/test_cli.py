@@ -285,3 +285,12 @@ def test_jordan_at_the_enumeration_cap(tmp_path, capsys):
     assert code == 0
     assert out["mu_plus"]["payload"]["values"] == {lab: "1" for lab in labels}
     assert out["mu_minus"]["payload"]["values"] == {lab: "0" for lab in labels}
+
+
+def test_unwritable_output_exits_1(files, tmp_path, capsys):
+    target = str(tmp_path / "no" / "such" / "out.json")
+    for source in (files["maximal"], str(tmp_path / "missing.json")):
+        code, out = run(capsys, "validate", source, "--output", target)
+        assert code == 1
+        assert out["error"]["code"] == "Schema"
+        assert target in out["error"]["detail"]
