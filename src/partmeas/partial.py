@@ -37,15 +37,14 @@ from .errors import (
     NotTraceClosedError,
     SchemaError,
     SpaceMismatchError,
-    TooLargeError,
     UnknownPointError,
 )
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
 from .measure import AtomVector, PositiveMeasure, hahn_decomposition
 from .spaces import (
-    ENUMERATION_CAP,
     FiniteSpace,
     MeasurableSet,
+    check_enumerable,
     iter_bits,
     iter_submasks,
 )
@@ -71,14 +70,6 @@ __all__ = [
     "is_maximal",
     "can_extend_with",
 ]
-
-
-def _check_cap(n_atoms: int, cap: int | None) -> None:
-    limit = ENUMERATION_CAP if cap is None else cap
-    if n_atoms > limit:
-        raise TooLargeError(
-            f"space has {n_atoms} atoms; enumeration capped at {limit}"
-        )
 
 
 class PartialMeasure:
@@ -162,9 +153,9 @@ class MaximalPartialMeasure(AtomVector):
 
     __call__ = evaluate
 
-    def domain_sets(self, cap: int | None = None) -> list[MeasurableSet]:
+    def domain_sets(self) -> list[MeasurableSet]:
         """Every set of the derived domain, in canonical mask order."""
-        _check_cap(self.space.n_atoms, cap)
+        check_enumerable(self.space.n_atoms)
         return [
             MeasurableSet(self.space, m)
             for m in range(1 << self.space.n_atoms)
@@ -261,9 +252,7 @@ def _finite_sum_table(values: Sequence[ExtReal], k: int) -> list[Fraction]:
     return table
 
 
-def diff_measures(
-    m1: PositiveMeasure, m2: PositiveMeasure, cap: int | None = None
-) -> PartialMeasure:
+def diff_measures(m1: PositiveMeasure, m2: PositiveMeasure) -> PartialMeasure:
     """The difference of two positive measures, on its well-posed domain.
 
     The domain is every set A with m1(A) - m2(A) well-posed, i.e. those
@@ -273,7 +262,7 @@ def diff_measures(
         raise NotPositiveError("diff_measures requires two positive measures")
     if m1.space != m2.space:
         raise SpaceMismatchError("measures live on different spaces")
-    pairs = zip(value_table(m1, cap), value_table(m2, cap))
+    pairs = zip(value_table(m1), value_table(m2))
     values = {
         mask: v1 - v2 for mask, (v1, v2) in enumerate(pairs) if not v1 == v2 == PLUS_INF
     }
@@ -315,14 +304,14 @@ def maximalize(
     return MaximalPartialMeasure(space, atom_values)
 
 
-def value_table(mu: AtomVector, cap: int | None = None) -> list[ExtReal | None]:
+def value_table(mu: AtomVector) -> list[ExtReal | None]:
     """Values of every set, indexed by atom mask; None where ill-posed.
 
     Works for any atom vector, i.e. both measures and maximal partial
     measures.  For a measure no entry is None.
     """
     k = mu.space.n_atoms
-    _check_cap(k, cap)
+    check_enumerable(k)
     pos = mu.pos_inf_mask
     neg = mu.neg_inf_mask
     finite_sums = _finite_sum_table(mu.atom_values, k)
@@ -344,23 +333,23 @@ def value_table(mu: AtomVector, cap: int | None = None) -> list[ExtReal | None]:
 # these closed forms are checked against.
 
 
-def f_plus(mu: MaximalPartialMeasure, cap: int | None = None) -> list[MeasurableSet]:
+def f_plus(mu: MaximalPartialMeasure) -> list[MeasurableSet]:
     """Domain sets whose every measurable subset has value >= 0.
 
     These are exactly the subsets of the atoms with value >= 0, listed
     in canonical mask order.
     """
-    _check_cap(mu.space.n_atoms, cap)
+    check_enumerable(mu.space.n_atoms)
     return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonneg_mask())]
 
 
-def f_minus(mu: MaximalPartialMeasure, cap: int | None = None) -> list[MeasurableSet]:
+def f_minus(mu: MaximalPartialMeasure) -> list[MeasurableSet]:
     """Domain sets whose every measurable subset has value <= 0.
 
     These are exactly the subsets of the atoms with value <= 0, listed
     in canonical mask order.
     """
-    _check_cap(mu.space.n_atoms, cap)
+    check_enumerable(mu.space.n_atoms)
     return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonpos_mask())]
 
 
@@ -514,9 +503,7 @@ def _determined_infinity_masks(pm: PartialMeasure) -> tuple[int, int]:
     return pos, neg
 
 
-def single_set_extensions(
-    pm: PartialMeasure, cap: int | None = None
-) -> list[MeasurableSet]:
+def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
     """Sets outside the domain that could extend ``pm`` by a single set.
 
     A set S qualifies exactly when its determined atoms do not mix +inf
@@ -525,7 +512,7 @@ def single_set_extensions(
     characterizes maximality.
     """
     k = pm.space.n_atoms
-    _check_cap(k, cap)
+    check_enumerable(k)
     pos, neg = _determined_infinity_masks(pm)
     out = []
     for mask in range(1 << k):
@@ -537,9 +524,9 @@ def single_set_extensions(
     return out
 
 
-def is_maximal(pm: PartialMeasure, cap: int | None = None) -> bool:
+def is_maximal(pm: PartialMeasure) -> bool:
     """True when no single-set extension exists."""
-    return not single_set_extensions(pm, cap)
+    return not single_set_extensions(pm)
 
 
 def can_extend_with(

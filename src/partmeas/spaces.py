@@ -43,6 +43,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_enumerable(n_atoms: int) -> None:
+    """Raise TooLargeError when a space of ``n_atoms`` atoms is too large
+    to enumerate all 2**n_atoms of its sets."""
+    if n_atoms > ENUMERATION_CAP:
+        raise TooLargeError(
+            f"space has {n_atoms} atoms; enumeration capped at {ENUMERATION_CAP}"
+        )
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """Every submask of ``mask``, ascending, from 0 to ``mask`` itself."""
     sub = 0
@@ -293,11 +302,7 @@ def trace_algebra(space: FiniteSpace, b: MeasurableSet) -> FiniteSpace:
     return FiniteSpace(new_points, new_atoms)
 
 
-def enumerate_sets(space: FiniteSpace, cap: int | None = None) -> list[MeasurableSet]:
+def enumerate_sets(space: FiniteSpace) -> list[MeasurableSet]:
     """All 2**k measurable sets in canonical mask order."""
-    limit = ENUMERATION_CAP if cap is None else cap
-    if space.n_atoms > limit:
-        raise TooLargeError(
-            f"space has {space.n_atoms} atoms; enumeration capped at {limit}"
-        )
+    check_enumerable(space.n_atoms)
     return [MeasurableSet(space, m) for m in range(1 << space.n_atoms)]

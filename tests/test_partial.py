@@ -266,8 +266,9 @@ def test_f_plus_zero_measure():
 
 
 def test_f_plus_cap():
+    space = FiniteSpace.discrete([f"p{i:02d}" for i in range(21)])
     with pytest.raises(TooLargeError):
-        f_plus(MIXED, cap=3)
+        f_plus(MaximalPartialMeasure(space, [ZERO] * 21))
 
 
 def test_jordan_worked_example():
