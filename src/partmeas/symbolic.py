@@ -87,14 +87,7 @@ class HalfSet:
         return HalfSet(COFINITE, tuple(b - a))
 
     def intersect(self, other: "HalfSet") -> "HalfSet":
-        a, b = set(self.ids), set(other.ids)
-        if self.kind == FINITE and other.kind == FINITE:
-            return HalfSet(FINITE, tuple(a & b))
-        if self.kind == COFINITE and other.kind == COFINITE:
-            return HalfSet(COFINITE, tuple(a | b))
-        if self.kind == FINITE:
-            return HalfSet(FINITE, tuple(a - b))
-        return HalfSet(FINITE, tuple(b - a))
+        return self.complement().union(other.complement()).complement()
 
     def contains(self, i: int) -> bool:
         return (i in self.ids) == (self.kind == FINITE)
@@ -208,6 +201,18 @@ class FPlusDecision(NamedTuple):
     counterexample: SymbolicSet | None
 
 
+def _sign_class_decision(
+    c: SymbolicSet, forbidden: HalfSet, singleton
+) -> FPlusDecision:
+    # ``forbidden`` is the part of c in the half whose points carry the
+    # wrong sign; its first point, as ``singleton``, is the counterexample
+    if not sym_in_algebra(c):
+        raise NotInAlgebraError(f"{c!r} is outside the modelled algebra")
+    if forbidden.is_empty:
+        return FPlusDecision(True, None)
+    return FPlusDecision(False, singleton(forbidden.sample_ids(1)[0]))
+
+
 def sym_in_f_plus(c: SymbolicSet) -> FPlusDecision:
     """Decide whether every measurable subset of ``c`` has value >= 0.
 
@@ -216,28 +221,12 @@ def sym_in_f_plus(c: SymbolicSet) -> FPlusDecision:
     of ``c`` in the complementary half gives a singleton subset of value
     -inf, returned as the counterexample.
     """
-    if not sym_in_algebra(c):
-        raise NotInAlgebraError(f"{c!r} is outside the modelled algebra")
-    if c.bc_part.is_empty:
-        return FPlusDecision(True, None)
-    if c.bc_part.kind == FINITE:
-        witness_id = c.bc_part.ids[0]
-    else:
-        witness_id = c.bc_part.fresh_id()
-    return FPlusDecision(False, SymbolicSet.singleton_bc(witness_id))
+    return _sign_class_decision(c, c.bc_part, SymbolicSet.singleton_bc)
 
 
 def sym_in_f_minus(c: SymbolicSet) -> FPlusDecision:
     """Mirror image: every measurable subset of ``c`` has value <= 0."""
-    if not sym_in_algebra(c):
-        raise NotInAlgebraError(f"{c!r} is outside the modelled algebra")
-    if c.b_part.is_empty:
-        return FPlusDecision(True, None)
-    if c.b_part.kind == FINITE:
-        witness_id = c.b_part.ids[0]
-    else:
-        witness_id = c.b_part.fresh_id()
-    return FPlusDecision(False, SymbolicSet.singleton_b(witness_id))
+    return _sign_class_decision(c, c.b_part, SymbolicSet.singleton_b)
 
 
 def _subsets(ids: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
