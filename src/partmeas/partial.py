@@ -6,7 +6,10 @@ measurable subset of B (on a finite algebra the trace sets A ∩ B are
 exactly the measurable subsets of B).  Consequently the atoms under any
 domain set are themselves domain sets, values on atoms determine values
 everywhere in the domain by additivity, and within a single domain set
-the atom values never mix +inf with -inf.
+the atom values never mix +inf with -inf.  A :class:`PartialMeasure`
+is therefore stored as its domain masks plus an atom vector of its
+determined atoms, with the free atoms set to 0; a domain set's value is
+its atom sum.
 
 A maximal partial measure is one admitting no proper extension.  On a
 finite algebra these are exactly the arbitrary atom-value vectors: the
@@ -76,50 +79,55 @@ class PartialMeasure:
     """A validated partial measure with an explicit, trace-closed domain.
 
     Construct through :func:`validate_partial`, :func:`diff_measures` or
-    :func:`restrict_to`; the raw constructor trusts its input.
+    :func:`restrict_to`; the raw constructor trusts its input: ``masks``
+    must be trace-closed and no mask may mix +inf and -inf atoms of
+    ``atom_values``.  Values of atoms outside every mask are replaced by
+    0, so two partial measures with the same domain and the same values
+    are equal however they were built.
     """
 
-    __slots__ = ("space", "_values", "_masks", "covered_atoms")
+    __slots__ = ("space", "_masks", "_atoms", "covered_atoms")
 
-    def __init__(self, space: FiniteSpace, values_by_mask: Mapping[int, ExtReal]):
+    def __init__(
+        self, space: FiniteSpace, masks: Iterable[int], atom_values: Sequence[ExtReal]
+    ):
         self.space = space
-        self._values = dict(values_by_mask)
-        self._masks = tuple(sorted(self._values))
+        self._masks = frozenset(masks)
         covered = 0
         for m in self._masks:
             covered |= m
         self.covered_atoms = covered
+        self._atoms = MaximalPartialMeasure(
+            space,
+            [v if covered >> i & 1 else ZERO for i, v in enumerate(atom_values)],
+        )
 
     def domain_sets(self) -> list[MeasurableSet]:
         """The domain in canonical mask order."""
-        return [MeasurableSet(self.space, m) for m in self._masks]
+        return [MeasurableSet(self.space, m) for m in sorted(self._masks)]
 
     def in_domain(self, a: MeasurableSet) -> bool:
         if a.space != self.space:
             raise SpaceMismatchError("set does not belong to this space")
-        return a.mask in self._values
+        return a.mask in self._masks
 
     def evaluate(self, a: MeasurableSet) -> ExtReal:
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to this space")
-        try:
-            return self._values[a.mask]
-        except KeyError:
-            raise NotInDomainError(f"{a!r} is outside the domain") from None
+        if not self.in_domain(a):
+            raise NotInDomainError(f"{a!r} is outside the domain")
+        return self._atoms.evaluate(a)
 
     def determined_atom_value(self, i: int) -> ExtReal:
         """Value of atom ``i``; it must lie under some domain set."""
-        try:
-            return self._values[1 << i]
-        except KeyError:
+        if not self.covered_atoms >> i & 1:
             raise NotInDomainError(
                 f"atom {self.space.atom_label(i)!r} is not determined"
-            ) from None
+            )
+        return self._atoms.atom_values[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialMeasure):
             return NotImplemented
-        return self.space == other.space and self._values == other._values
+        return self._masks == other._masks and self._atoms == other._atoms
 
     def __repr__(self) -> str:
         return f"PartialMeasure({len(self._masks)} sets on {self.space!r})"
@@ -195,50 +203,41 @@ def validate_partial(
     if not vmap:
         raise EmptyDomainError("a partial measure needs at least one domain set")
 
-    atom_vals: dict[int, ExtReal] = {}
-    for i in range(space.n_atoms):
-        if (1 << i) in vmap:
-            atom_vals[i] = vmap[1 << i]
-
+    atoms = MaximalPartialMeasure(
+        space, [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
+    )
     for mask in sorted(vmap):
+        a = MeasurableSet(space, mask)
         for i in iter_bits(mask):
-            if i not in atom_vals:
+            if 1 << i not in vmap:
                 raise NotTraceClosedError(
-                    f"set {MeasurableSet(space, mask).key()!r} requires atom "
-                    f"{space.atom_label(i)!r}, whose value is not derivable "
-                    "from the supplied sets"
+                    f"set {a.key()!r} requires atom {space.atom_label(i)!r}, "
+                    "whose value is not derivable from the supplied sets"
                 )
-        pos = neg = False
-        for i in iter_bits(mask):
-            v = atom_vals[i]
-            if not v.is_finite:
-                if v == PLUS_INF:
-                    pos = True
-                else:
-                    neg = True
-        if pos and neg:
+        if not atoms.in_domain_mask(mask):
             raise MixedInfinitiesInDomainSetError(
-                f"atoms of {MeasurableSet(space, mask).key()!r} carry "
-                "both +inf and -inf"
+                f"atoms of {a.key()!r} carry both +inf and -inf"
             )
-        total = extreal.sum(atom_vals[i] for i in iter_bits(mask))
+        total = atoms.evaluate(a)
         if vmap[mask] != total:
             raise AdditivityViolationError(
-                f"value {vmap[mask]} of {MeasurableSet(space, mask).key()!r} "
-                f"differs from its atom sum {total}"
+                f"value {vmap[mask]} of {a.key()!r} differs from its atom sum {total}"
             )
-    return PartialMeasure(space, _down_closure(vmap, atom_vals))
+    return PartialMeasure(space, _down_closure(vmap), atoms.atom_values)
 
 
-def _down_closure(
-    masks: Iterable[int], atom_values: Mapping[int, ExtReal] | Sequence[ExtReal]
-) -> dict[int, ExtReal]:
-    """The empty set and every subset of ``masks``, valued by atom sums."""
-    closed: dict[int, ExtReal] = {0: ZERO}
-    for mask in masks:
-        for sub in iter_submasks(mask):
-            if sub not in closed:
-                closed[sub] = extreal.sum(atom_values[i] for i in iter_bits(sub))
+def _down_closure(masks: Iterable[int]) -> set[int]:
+    """The empty set and every subset of ``masks``.
+
+    Generators are visited in descending mask order, so a generator that
+    is already present arrived with a superset, together with all of its
+    own subsets, and is skipped.
+    """
+    closed = {0}
+    for mask in sorted(masks, reverse=True):
+        if mask not in closed:
+            check_enumerable(mask.bit_count())
+            closed.update(iter_submasks(mask))
     return closed
 
 
@@ -262,11 +261,15 @@ def diff_measures(m1: PositiveMeasure, m2: PositiveMeasure) -> PartialMeasure:
         raise NotPositiveError("diff_measures requires two positive measures")
     if m1.space != m2.space:
         raise SpaceMismatchError("measures live on different spaces")
-    pairs = zip(value_table(m1), value_table(m2))
-    values = {
-        mask: v1 - v2 for mask, (v1, v2) in enumerate(pairs) if not v1 == v2 == PLUS_INF
-    }
-    return PartialMeasure(m1.space, values)
+    k = m1.space.n_atoms
+    check_enumerable(k)
+    pos1, pos2 = m1.pos_inf_mask, m2.pos_inf_mask
+    domain = [m for m in range(1 << k) if not (m & pos1 and m & pos2)]
+    atom_values = [
+        ZERO if v1 == v2 == PLUS_INF else v1 - v2
+        for v1, v2 in zip(m1.atom_values, m2.atom_values)
+    ]
+    return PartialMeasure(m1.space, domain, atom_values)
 
 
 def maximalize(
@@ -280,7 +283,7 @@ def maximalize(
     choice is part of the signature rather than hidden.
     """
     space = pm.space
-    assignments: dict[int, ExtReal] = {}
+    atom_values = list(pm._atoms.atom_values)
     if fill:
         label_to_atom = {space.atom_label(i): i for i in range(space.n_atoms)}
         for label, v in fill.items():
@@ -294,13 +297,7 @@ def maximalize(
                 )
             if not isinstance(v, ExtReal):
                 raise TypeError(f"ExtReal required, got {type(v).__name__}")
-            assignments[i] = v
-    atom_values = []
-    for i in range(space.n_atoms):
-        if pm.covered_atoms >> i & 1:
-            atom_values.append(pm.determined_atom_value(i))
-        else:
-            atom_values.append(assignments.get(i, ZERO))
+            atom_values[i] = v
     return MaximalPartialMeasure(space, atom_values)
 
 
@@ -488,19 +485,7 @@ def restrict_to(
         if not mu.in_domain_mask(g.mask):
             raise NotInDomainError(f"{g!r} is outside the derived domain")
         masks.append(g.mask)
-    return PartialMeasure(mu.space, _down_closure(masks, mu.atom_values))
-
-
-def _determined_infinity_masks(pm: PartialMeasure) -> tuple[int, int]:
-    pos = neg = 0
-    for i in iter_bits(pm.covered_atoms):
-        v = pm.determined_atom_value(i)
-        if not v.is_finite:
-            if v == PLUS_INF:
-                pos |= 1 << i
-            else:
-                neg |= 1 << i
-    return pos, neg
+    return PartialMeasure(mu.space, _down_closure(masks), mu.atom_values)
 
 
 def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
@@ -508,20 +493,17 @@ def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
 
     A set S qualifies exactly when its determined atoms do not mix +inf
     and -inf: its free atoms can then be given any finite value (say 0)
-    and S joins the domain with the resulting atom sum.  An empty result
-    characterizes maximality.
+    and S joins the domain with the resulting atom sum.  The stored
+    vector holds exactly that choice, so S qualifies when it lies in the
+    vector's derived domain.  An empty result characterizes maximality.
     """
     k = pm.space.n_atoms
     check_enumerable(k)
-    pos, neg = _determined_infinity_masks(pm)
-    out = []
-    for mask in range(1 << k):
-        if mask in pm._values:
-            continue
-        if mask & pos and mask & neg:
-            continue
-        out.append(MeasurableSet(pm.space, mask))
-    return out
+    return [
+        MeasurableSet(pm.space, m)
+        for m in range(1 << k)
+        if m not in pm._masks and pm._atoms.in_domain_mask(m)
+    ]
 
 
 def is_maximal(pm: PartialMeasure) -> bool:

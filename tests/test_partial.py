@@ -399,6 +399,29 @@ def test_restrict_to_and_extensions():
     assert mm.atom_values == (E(Fraction(3, 2)), E(-2), ZERO, ZERO)
 
 
+def test_equality_is_value_equality_across_constructors():
+    # domain: the subsets of {a, b, c}; d is free and its source values differ
+    abc = SPACE4.set_from_points(["a", "b", "c"])
+    atoms = [E(Fraction(3, 2)), E(-2), PLUS_INF]
+    source = MaximalPartialMeasure(SPACE4, atoms + [E(7)])
+    restricted = restrict_to(source, [abc])
+    differenced = diff_measures(
+        PositiveMeasure(SPACE4, [E(Fraction(3, 2)), ZERO, PLUS_INF, PLUS_INF]),
+        PositiveMeasure(SPACE4, [ZERO, E(2), ZERO, PLUS_INF]),
+    )
+
+    def validated(atom_values):
+        sets = [MeasurableSet(SPACE4, m) for m in submasks(abc.mask)]
+        return validate_partial(
+            SPACE4, sets, {s: eval_scratch(atom_values, s.mask) for s in sets}
+        )
+
+    assert restricted == differenced == validated(atoms)
+    assert restricted != validated([E(1), E(-2), PLUS_INF])
+    # same determined atoms, smaller domain
+    assert restricted != restrict_to(source, sets_of(SPACE4, ["a"], ["b"], ["c"]))
+
+
 def test_restrict_to_rejects_sets_outside_domain():
     with pytest.raises(NotInDomainError):
         restrict_to(MIXED, [SPACE4.set_from_points(["c", "d"])])
