@@ -6,6 +6,7 @@ JSON object per run.  Exit codes are fixed for scriptability:
   0   success
   1   I/O or schema problem (unreadable file, malformed payload)
   2   domain error; stdout carries {"error": {"code": ..., "detail": ...}}
+  3   fuzz found failing properties; the report is still written
   64  usage problem (unknown command, bad flags)
 
 Output is deterministic for identical (command, inputs, seed); pass
@@ -28,7 +29,6 @@ from .measure import Measure, hahn_decomposition
 from .partial import (
     MaximalPartialMeasure,
     corollary1_witness,
-    hahn_partial,
     jordan_decompose_detailed,
     maximalize,
 )
@@ -160,14 +160,11 @@ def _cmd_jordan(args) -> dict:
 
 def _cmd_hahn(args) -> dict:
     kind, value = _load(args.file)
-    if isinstance(value, Measure):
-        positive, negative = hahn_decomposition(value)
-    elif isinstance(value, MaximalPartialMeasure):
-        positive, negative = hahn_partial(value)
-    else:
+    if not isinstance(value, (Measure, MaximalPartialMeasure)):
         raise SchemaError(
             f"{args.file}: hahn needs a measure or maximal instance, got {kind!r}"
         )
+    positive, negative = hahn_decomposition(value)
     return {"positive": positive.key(), "negative": negative.key()}
 
 
@@ -273,9 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         return _emit({"error": {"code": exc.code, "detail": str(exc)}}, args.output, 2)
     except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:
         return _emit({"error": {"code": "Schema", "detail": str(exc)}}, args.output, 1)
+    code = 3 if args.command == "fuzz" and result["failures"] else 0
     if not args.no_banner:
         result = {"banner": {"tool": "partmeas", "version": __version__}, **result}
-    return _emit(result, args.output, 0)
+    return _emit(result, args.output, code)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from partmeas import fuzzing
 from partmeas.cli import main
+from partmeas.fuzzing import PropertyViolation
 
 
 MAXIMAL = {
@@ -294,3 +296,40 @@ def test_unwritable_output_exits_1(files, tmp_path, capsys):
         assert code == 1
         assert out["error"]["code"] == "Schema"
         assert target in out["error"]["detail"]
+
+
+def test_fuzz_exits_3_on_failing_property(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def fails_first_trial(rng, cfg):
+        calls.append(None)
+        if len(calls) == 1:
+            raise PropertyViolation("broken invariant")
+
+    monkeypatch.setattr(fuzzing, "PROPERTIES", [("fails_once", fails_first_trial)])
+    target = tmp_path / "report.json"
+    code = main(["fuzz", "--seed", "2", "--trials", "3", "--no-banner",
+                 "--output", str(target)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    report = json.loads(target.read_text())
+    assert report["failures"] == 1
+    assert report["properties"] == [{"name": "fails_once", "trials": 3, "failures": 1}]
+    written = tmp_path / "counterexample_fails_once_0.json"
+    assert report["counterexample_files"] == [str(written)]
+    assert json.loads(written.read_text())["detail"] == "broken invariant"
+
+
+def test_partial_domain_set_past_the_cap_exits_2(tmp_path, capsys):
+    labels = [f"p{i:02d}" for i in range(21)]
+    domain = [[lab] for lab in labels] + [labels]
+    values = {lab: "1" for lab in labels}
+    values[",".join(labels)] = "21"
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({
+        "kind": "partial",
+        "payload": {"space": {"points": labels}, "domain": domain, "values": values},
+    }))
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 2
+    assert out["error"]["code"] == "TooLarge"
