@@ -295,8 +295,6 @@ def maximalize(
                     f"atom {label!r} is determined by the domain; "
                     "its value cannot be chosen"
                 )
-            if not isinstance(v, ExtReal):
-                raise TypeError(f"ExtReal required, got {type(v).__name__}")
             atom_values[i] = v
     return MaximalPartialMeasure(space, atom_values)
 
