@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import extreal
 from .errors import (
     AdditivityViolationError,
     EmptyDomainError,
@@ -157,7 +156,7 @@ class MaximalPartialMeasure(AtomVector):
             raise SpaceMismatchError("set does not belong to this space")
         if not self.in_domain_mask(a.mask):
             raise NotInDomainError(f"{a!r} is outside the derived domain")
-        return extreal.sum(self.atom_values[i] for i in iter_bits(a.mask))
+        return self.mask_sum(a.mask)
 
     __call__ = evaluate
 
@@ -236,7 +235,7 @@ def _down_closure(masks: Iterable[int]) -> set[int]:
     closed = {0}
     for mask in sorted(masks, reverse=True):
         if mask not in closed:
-            check_enumerable(mask.bit_count())
+            check_enumerable(mask.bit_count(), what="domain set")
             closed.update(iter_submasks(mask))
     return closed
 
@@ -525,7 +524,7 @@ def can_extend_with(
     if mu.in_domain_mask(s.mask):
         return False
     try:
-        total = extreal.sum(mu.atom_values[i] for i in iter_bits(s.mask))
+        total = mu.mask_sum(s.mask)
     except IllPosedError:
         return False
     return value == total

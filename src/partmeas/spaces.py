@@ -43,12 +43,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def check_enumerable(n_atoms: int) -> None:
-    """Raise TooLargeError when a space of ``n_atoms`` atoms is too large
-    to enumerate all 2**n_atoms of its sets."""
+def check_enumerable(n_atoms: int, what: str = "space") -> None:
+    """Raise TooLargeError when ``n_atoms`` atoms are too many to
+    enumerate all 2**n_atoms of their sets; ``what`` names what owns
+    them in the error detail."""
     if n_atoms > ENUMERATION_CAP:
         raise TooLargeError(
-            f"space has {n_atoms} atoms; enumeration capped at {ENUMERATION_CAP}"
+            f"{what} has {n_atoms} atoms; enumeration capped at {ENUMERATION_CAP}"
         )
 
 

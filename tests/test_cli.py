@@ -320,16 +320,31 @@ def test_fuzz_exits_3_on_failing_property(monkeypatch, tmp_path, capsys):
     assert json.loads(written.read_text())["detail"] == "broken invariant"
 
 
-def test_partial_domain_set_past_the_cap_exits_2(tmp_path, capsys):
-    labels = [f"p{i:02d}" for i in range(21)]
+def wide_partial(tmp_path, n_points, n_set):
+    """A partial file on ``n_points`` points with one ``n_set``-atom domain set."""
+    points = [f"p{i:02d}" for i in range(n_points)]
+    labels = points[:n_set]
     domain = [[lab] for lab in labels] + [labels]
     values = {lab: "1" for lab in labels}
-    values[",".join(labels)] = "21"
+    values[",".join(labels)] = str(n_set)
     f = tmp_path / "wide.json"
     f.write_text(json.dumps({
         "kind": "partial",
-        "payload": {"space": {"points": labels}, "domain": domain, "values": values},
+        "payload": {"space": {"points": points}, "domain": domain, "values": values},
     }))
-    code, out = run(capsys, "validate", str(f), "--no-banner")
+    return str(f)
+
+
+def test_partial_domain_set_past_the_cap_exits_2(tmp_path, capsys):
+    code, out = run(capsys, "validate", wide_partial(tmp_path, 21, 21), "--no-banner")
     assert code == 2
     assert out["error"]["code"] == "TooLarge"
+
+
+def test_too_large_detail_counts_the_domain_set(tmp_path, capsys):
+    code, out = run(capsys, "validate", wide_partial(tmp_path, 22, 21), "--no-banner")
+    assert code == 2
+    assert out["error"] == {
+        "code": "TooLarge",
+        "detail": "domain set has 21 atoms; enumeration capped at 20",
+    }

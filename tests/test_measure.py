@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from partmeas import (
+    AtomVector,
     ExtReal,
     FiniteSpace,
     MINUS_INF,
@@ -16,7 +18,15 @@ from partmeas import (
     ZERO,
     hahn_decomposition,
 )
-from partmeas.errors import MixedInfinitiesError, NotPositiveError, SpaceMismatchError
+from partmeas import extreal
+from partmeas.errors import (
+    IllPosedError,
+    MixedInfinitiesError,
+    NotInDomainError,
+    NotPositiveError,
+    SpaceMismatchError,
+)
+from partmeas.spaces import iter_bits
 from oracles import eval_scratch, submasks
 
 E = ExtReal
@@ -82,6 +92,61 @@ def test_evaluate_space_mismatch():
     m = PositiveMeasure.zero(SPACE4)
     with pytest.raises(SpaceMismatchError):
         m.evaluate(FiniteSpace.discrete("ab").full_set())
+
+
+# Coprime and very large denominators make the common denominator and the
+# scaled numerators large, so a wrong scale factor cannot cancel out.
+atom_values = st.one_of(
+    st.fractions().map(ExtReal),
+    st.sampled_from(
+        [Fraction(1, 7), Fraction(-1, 11), Fraction(10**12, 13), Fraction(-5, 10**9 + 7)]
+    ).map(ExtReal),
+    st.just(ZERO),
+    st.just(PLUS_INF),
+    st.just(MINUS_INF),
+)
+
+
+@given(st.lists(atom_values, min_size=1, max_size=8))
+def test_mask_sum_matches_extreal_sum(values):
+    v = AtomVector(FiniteSpace.discrete("abcdefgh"[: len(values)]), values)
+    for mask in range(1 << len(values)):
+        try:
+            expected = extreal.sum(values[i] for i in iter_bits(mask))
+        except IllPosedError:
+            with pytest.raises(IllPosedError, match="sum mixes"):
+                v.mask_sum(mask)
+        else:
+            got = v.mask_sum(mask)
+            assert got == expected and str(got) == str(expected)
+
+
+def test_mask_sum_results_in_lowest_terms():
+    space = FiniteSpace.discrete("abc")
+    m = Measure(space, [E(Fraction(1, 6)), E(Fraction(1, 3)), E(Fraction(-1, 2))])
+    assert str(m.mask_sum(0b011)) == "1/2"
+    assert str(m.evaluate(space.full_set())) == "0"
+    assert str(m.evaluate(space.set_from_points(["b", "c"]))) == "-1/6"
+
+
+def test_maximal_evaluate_refuses_mixed_set():
+    mu = MaximalPartialMeasure(SPACE4, [E(Fraction(1, 7)), PLUS_INF, MINUS_INF, ZERO])
+    with pytest.raises(NotInDomainError):
+        mu.evaluate(SPACE4.set_from_points(["b", "c"]))
+    assert mu.evaluate(SPACE4.set_from_points(["a", "b"])) == PLUS_INF
+    assert mu.evaluate(SPACE4.set_from_points(["a", "d"])) == E(Fraction(1, 7))
+
+
+def test_equality_hash_repr_ignore_the_scaled_form():
+    values = [E(Fraction(1, 6)), E(Fraction(1, 3)), PLUS_INF, ZERO]
+    m = Measure(SPACE4, values)
+    # the same values over a doubled common denominator
+    twin = Measure(SPACE4, values)
+    twin._denom *= 2
+    twin._scaled = tuple(2 * x for x in twin._scaled)
+    assert twin == m and hash(twin) == hash(m)
+    assert twin.evaluate(SPACE4.set_from_points(["a", "b"])) == E(Fraction(1, 2))
+    assert repr(twin) == repr(m) == "Measure(a=1/6, b=1/3, c=+inf, d=0)"
 
 
 def hahn_postcondition_holds(m, p_mask, n_mask):
