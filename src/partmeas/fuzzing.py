@@ -67,6 +67,7 @@ from .symbolic import (
 )
 
 __all__ = [
+    "MAX_FUZZ_TRIALS",
     "FuzzConfig",
     "PropertyViolation",
     "generate_random_instance",
@@ -82,6 +83,10 @@ _LETTERS = "abcdefghijklmnopqrst"
 _VALUE_KINDS = ("finite", "+inf", "-inf")
 _VALUE_WEIGHTS = (6, 1, 1)
 _NULL_ATOM_CHANCE = 0.25
+
+# The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
+# the default, about a minute at max_atoms=6 on a 2-CPU VM.
+MAX_FUZZ_TRIALS = 10_000
 
 
 def _mix64(*parts: int) -> int:
@@ -106,8 +111,10 @@ class FuzzConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise InvalidConfigError("seed must be a 64-bit unsigned integer")
-        if self.trials < 1:
-            raise InvalidConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_FUZZ_TRIALS:
+            raise InvalidConfigError(
+                f"trials must be between 1 and {MAX_FUZZ_TRIALS}"
+            )
         if not 1 <= self.max_atoms <= ENUMERATION_CAP:
             raise InvalidConfigError(
                 f"max_atoms must be between 1 and {ENUMERATION_CAP}"

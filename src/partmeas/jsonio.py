@@ -138,10 +138,14 @@ parse_randomvariable, randomvariable_payload = _vector_codec(
 
 def partial_payload(pm: PartialMeasure) -> dict:
     sets = pm.domain_sets()
+    labels = [s.labels() for s in sets]
     return {
         "space": space_payload(pm.space),
-        "domain": [list(s.labels()) for s in sets],
-        "values": {s.key(): str(pm.evaluate(s)) for s in sets},
+        "domain": [list(lab) for lab in labels],
+        # a set's key is its labels joined, as MeasurableSet.key() builds it
+        "values": {
+            ",".join(lab): str(pm.evaluate(s)) for s, lab in zip(sets, labels)
+        },
     }
 
 

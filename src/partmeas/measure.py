@@ -7,14 +7,13 @@ Every set function in the package that is determined by its atoms
 values are always recomputed as atom sums, so additivity cannot be
 violated by stored state.  Atom sums are exact integer sums over a
 common denominator: the finite atoms are scaled to integers once, a
-set's sum adds those integers, and each result becomes one ``Fraction``.
+set's sum adds those integers, and each result is reduced once.
 A measure adds one structural invariant: its atom vector never contains
 both +inf and -inf, which keeps every evaluation well-posed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -24,7 +23,7 @@ from .errors import (
     NotPositiveError,
     SpaceMismatchError,
 )
-from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
+from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal, _ratio
 from .spaces import FiniteSpace, MeasurableSet
 
 __all__ = ["AtomVector", "Measure", "PositiveMeasure", "hahn_decomposition"]
@@ -37,7 +36,7 @@ class AtomVector:
     values +inf and -inf.  :meth:`mask_sum` is the atom sum over a mask;
     it adds the finite atoms as integers scaled by the lcm of their
     denominators (``_scaled`` over ``_denom``, fixed at construction)
-    and builds one ``Fraction`` per result, so it is exact.  Two vectors
+    and reduces each result once, so it is exact.  Two vectors
     are equal when they have the same kind, space and values; a subclass
     keeps its parent's kind unless it sets ``_kind`` itself, so a
     measure equals a positive measure with the same values, but never a
@@ -67,10 +66,10 @@ class AtomVector:
             if not isinstance(v, ExtReal):
                 raise TypeError(f"ExtReal required, got {type(v).__name__}")
             if v.is_finite:
-                ratios.append(v.as_fraction().as_integer_ratio())
+                ratios.append((v._n, v._d))
             else:
                 ratios.append((0, 1))
-                if v == PLUS_INF:
+                if v.sign() > 0:
                     pos |= 1 << i
                 else:
                     neg |= 1 << i
@@ -101,15 +100,15 @@ class AtomVector:
             low = mask & -mask
             total += scaled[low.bit_length() - 1]
             mask ^= low
-        return ExtReal(Fraction(total, self._denom))
+        return _ratio(total, self._denom)
 
     def nonneg_mask(self) -> int:
         """Mask of the atoms with value >= 0."""
-        return sum(1 << i for i, v in enumerate(self.atom_values) if v >= ZERO)
+        return sum(1 << i for i, v in enumerate(self.atom_values) if v.sign() >= 0)
 
     def nonpos_mask(self) -> int:
         """Mask of the atoms with value <= 0."""
-        return sum(1 << i for i, v in enumerate(self.atom_values) if v <= ZERO)
+        return sum(1 << i for i, v in enumerate(self.atom_values) if v.sign() <= 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AtomVector):
@@ -161,7 +160,7 @@ class PositiveMeasure(Measure):
     def __init__(self, space: FiniteSpace, atom_values: Sequence[ExtReal]):
         super().__init__(space, atom_values)
         for i, v in enumerate(self.atom_values):
-            if v < ZERO:
+            if v.sign() < 0:
                 raise NotPositiveError(
                     f"atom {self.space.atom_label(i)!r} has negative value {v}"
                 )

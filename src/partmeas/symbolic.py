@@ -48,6 +48,7 @@ __all__ = [
     "f_plus_enumeration_oracle",
     "random_algebra_member",
     "hahn_failure_check",
+    "MAX_HAHN_TRIALS",
 ]
 
 FINITE = "finite"
@@ -280,6 +281,11 @@ def random_algebra_member(rng: random.Random, max_id: int = 9) -> SymbolicSet:
     return SymbolicSet(HalfSet(kind, ids_b), HalfSet(kind, ids_bc))
 
 
+# The largest ``trials`` of hahn_failure_check (the example3 command's
+# --trials): 100 times the default, about 40 s on a 2-CPU VM.
+MAX_HAHN_TRIALS = 1_000_000
+
+
 def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
     """Verify symbolically that no split C / complement(C) exists with C in
     the nonnegative class and its complement in the nonpositive class.
@@ -287,10 +293,10 @@ def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
     Two-step case analysis, each step computed on concrete sets, plus a
     seeded fuzz pass over random algebra members looking for a
     counterexample.  Returns a machine-readable report; raises
-    InvalidConfigError when ``trials`` is below 1.
+    InvalidConfigError when ``trials`` lies outside 1..MAX_HAHN_TRIALS.
     """
-    if trials < 1:
-        raise InvalidConfigError("trials must be >= 1")
+    if not 1 <= trials <= MAX_HAHN_TRIALS:
+        raise InvalidConfigError(f"trials must be between 1 and {MAX_HAHN_TRIALS}")
     rng = random.Random(seed)
     step1_checked = step1_violations = 0
     step2_checked = step2_violations = 0

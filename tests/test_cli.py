@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from partmeas import fuzzing
+from partmeas import fuzzing, symbolic
 from partmeas.cli import main
 from partmeas.fuzzing import PropertyViolation
 
@@ -265,6 +265,19 @@ def test_example3_rejects_nonpositive_trials(capsys, trials):
     code, out = run(capsys, "example3", "--trials", trials)
     assert code == 2
     assert out["error"]["code"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize(
+    "command,bound",
+    [("fuzz", fuzzing.MAX_FUZZ_TRIALS), ("example3", symbolic.MAX_HAHN_TRIALS)],
+)
+def test_trials_past_the_bound_exit_2(capsys, command, bound):
+    code, out = run(capsys, command, "--trials", str(bound + 1), "--no-banner")
+    assert code == 2
+    assert out["error"] == {
+        "code": "InvalidConfig",
+        "detail": f"trials must be between 1 and {bound}",
+    }
 
 
 def test_deeply_nested_json_exits_1(tmp_path, capsys):

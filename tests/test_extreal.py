@@ -1,4 +1,7 @@
+import math
+import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -46,11 +49,22 @@ def test_total_order():
     assert MINUS_INF < E(-(10 ** 50)) < E(10 ** 50) < PLUS_INF
 
 
-def test_constructor_rejects_inexact():
-    with pytest.raises(TypeError):
-        ExtReal(0.5)
-    with pytest.raises(TypeError):
-        ExtReal(True)
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, Decimal(1), "1", None])
+def test_constructor_rejects_inexact(bad):
+    with pytest.raises(TypeError, match="exact rational required"):
+        ExtReal(bad)
+
+
+def test_constructor_accepts_subclasses():
+    class MyInt(int):
+        pass
+
+    class MyFraction(Fraction):
+        pass
+
+    assert ExtReal(MyInt(-4)) == E(-4)
+    assert ExtReal(MyFraction(6, -4)) == E(Fraction(-3, 2))
+    assert str(ExtReal(MyFraction(6, -4))) == "-3/2"
 
 
 @pytest.mark.parametrize(
@@ -132,3 +146,92 @@ def test_comparisons_are_consistent(a, b):
     assert (a < b) == (b > a)
     assert (a <= b) == (a < b or a == b)
     assert a <= b or b <= a
+
+
+# ExtReal against an oracle of Fractions, with the float infinities for
+# +inf and -inf: Fraction compares exactly with them, and a sum of two
+# oracle values stays a Fraction unless an infinity is involved.
+huge = st.integers(min_value=-(10 ** 60), max_value=10 ** 60)
+oracle_values = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, huge, st.integers(min_value=1, max_value=10 ** 60)),
+    huge.map(Fraction),
+    st.sampled_from([Fraction(0), math.inf, -math.inf]),
+)
+
+
+def ext(q) -> ExtReal:
+    if q == math.inf:
+        return PLUS_INF
+    if q == -math.inf:
+        return MINUS_INF
+    return ExtReal(q)
+
+
+def spelling(q) -> str:
+    if q == math.inf:
+        return "+inf"
+    if q == -math.inf:
+        return "-inf"
+    return str(q)
+
+
+@given(oracle_values, oracle_values)
+def test_comparisons_match_fraction(a, b):
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        assert op(ext(a), ext(b)) == op(a, b), op.__name__
+
+
+@given(oracle_values, oracle_values)
+def test_arithmetic_matches_fraction(a, b):
+    x, y = ext(a), ext(b)
+    for op in (operator.add, operator.sub):
+        want = op(a, b)
+        if isinstance(want, float) and math.isnan(want):
+            with pytest.raises(IllPosedError):
+                op(x, y)
+            continue
+        got = op(x, y)
+        assert got == ext(want)
+        assert str(got) == spelling(want)
+    assert -x == ext(-a)
+    assert str(-x) == spelling(-a)
+    assert x.sign() == (a > 0) - (a < 0)
+    assert str(x) == spelling(a)
+    assert extreal.parse(str(x)) == x
+
+
+@given(oracle_values, oracle_values)
+def test_hash_follows_value(a, b):
+    x = ext(a)
+    # the hash is that of (kind, value as a Fraction), None at +-inf
+    want = hash((x.sign(), None)) if not x.is_finite else hash((0, a))
+    assert hash(x) == want
+    # equal values reached along different paths hash alike
+    if x.is_finite and isinstance(b, Fraction):
+        y = ext(b)
+        assert (x + y) - y == x
+        assert hash((x + y) - y) == hash(x)
+
+
+def test_equal_values_hash_alike():
+    assert E(2) == E(Fraction(4, 2))
+    assert hash(E(2)) == hash(E(Fraction(4, 2)))
+    assert E(Fraction(1, 6)) + E(Fraction(1, 3)) == E(Fraction(1, 2))
+    assert hash(E(Fraction(1, 6)) + E(Fraction(1, 3))) == hash(E(Fraction(1, 2)))
+    assert len({E(0), -E(0), E(1) - E(1), ZERO}) == 1
+
+
+@given(st.lists(oracle_values, max_size=10))
+def test_sum_matches_fraction_fold(qs):
+    xs = [ext(q) for q in qs]
+    if math.inf in qs and -math.inf in qs:
+        with pytest.raises(IllPosedError):
+            extreal.sum(xs)
+        return
+    want = Fraction(0)
+    for q in qs:
+        want = want + q
+    total = extreal.sum(xs)
+    assert total == ext(want)
+    assert str(total) == spelling(want)

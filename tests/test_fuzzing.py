@@ -10,6 +10,7 @@ from partmeas import (
 )
 from partmeas.errors import InvalidConfigError
 from partmeas.fuzzing import (
+    MAX_FUZZ_TRIALS,
     FuzzConfig,
     PROPERTIES,
     PropertyViolation,
@@ -21,6 +22,8 @@ from partmeas.fuzzing import (
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
         FuzzConfig(trials=0)
+    with pytest.raises(InvalidConfigError):
+        FuzzConfig(trials=MAX_FUZZ_TRIALS + 1)
     with pytest.raises(InvalidConfigError):
         FuzzConfig(max_atoms=0)
     with pytest.raises(InvalidConfigError):
