@@ -49,10 +49,10 @@ def test_total_order():
     assert MINUS_INF < E(-(10 ** 50)) < E(10 ** 50) < PLUS_INF
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, Decimal(1), "1", None])
-def test_constructor_rejects_inexact(bad):
-    with pytest.raises(TypeError, match="exact rational required"):
-        ExtReal(bad)
+def test_constructor_rejects_inexact():
+    for bad in (0.5, 1.0, True, False, Decimal(1), "1", None):
+        with pytest.raises(TypeError, match="exact rational required"):
+            ExtReal(bad)
 
 
 def test_constructor_accepts_subclasses():
@@ -178,7 +178,8 @@ def spelling(q) -> str:
 
 @given(oracle_values, oracle_values)
 def test_comparisons_match_fraction(a, b):
-    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+    ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+    for op in ops:
         assert op(ext(a), ext(b)) == op(a, b), op.__name__
 
 
@@ -231,7 +232,7 @@ def test_sum_matches_fraction_fold(qs):
         return
     want = Fraction(0)
     for q in qs:
-        want = want + q
+        want += q
     total = extreal.sum(xs)
     assert total == ext(want)
     assert str(total) == spelling(want)
