@@ -112,6 +112,8 @@ def _load(path: str, expected_kind: str | None = None):
             obj = json.load(handle)
         except RecursionError:
             raise SchemaError(f"{path}: JSON nesting is too deep") from None
+        except MemoryError:
+            raise SchemaError(f"{path}: JSON document is too large") from None
     kind, value = jsonio.load_instance(obj)
     if expected_kind is not None and kind != expected_kind:
         raise SchemaError(f"{path}: expected a {expected_kind!r} instance, got {kind!r}")

@@ -13,7 +13,7 @@ Exact conventions, chosen once so every result is deterministic:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     EmptyFamilyError,
@@ -21,7 +21,7 @@ from .errors import (
     NotAbsContinuousError,
     SpaceMismatchError,
 )
-from .extreal import ZERO, ExtReal
+from .extreal import ZERO, ExtReal, _ratio
 from .measure import AtomVector
 from .partial import MaximalPartialMeasure
 from .spaces import FiniteSpace, MeasurableSet, iter_bits
@@ -36,59 +36,44 @@ __all__ = [
 ]
 
 
-class Probability:
-    """Exact atom probabilities: nonnegative rationals summing to one."""
+class Probability(AtomVector):
+    """Exact atom probabilities: nonnegative rationals summing to one.
 
-    __slots__ = ("space", "atom_probs", "nonnull_mask")
+    An atom vector of finite values, so a set's probability is its
+    atom sum; ``nonnull_mask`` marks the atoms of positive probability.
+    """
 
-    def __init__(self, space: FiniteSpace, atom_probs: Sequence[Fraction | int]):
-        probs = tuple(
-            p if isinstance(p, Fraction) else Fraction(p) for p in atom_probs
-        )
+    __slots__ = ("nonnull_mask",)
+
+    _kind = "probability"
+
+    def __init__(self, space: FiniteSpace, atom_probs: Iterable[Fraction | int]):
+        probs = [ExtReal(p) for p in atom_probs]
         if len(probs) != space.n_atoms:
             raise InvalidProbabilityError(
                 f"expected {space.n_atoms} atom probabilities, got {len(probs)}"
             )
-        total = Fraction(0)
-        nonnull = 0
-        for i, p in enumerate(probs):
-            if p < 0:
+        super().__init__(space, probs)
+        for i, p in enumerate(self.atom_values):
+            if p.sign() < 0:
                 raise InvalidProbabilityError(
                     f"atom {space.atom_label(i)!r} has negative probability {p}"
                 )
-            if p > 0:
-                nonnull |= 1 << i
-            total += p
-        if total != 1:
+        total = self.mask_sum(space.full_mask)
+        if total != ExtReal(1):
             raise InvalidProbabilityError(f"atom probabilities sum to {total}, not 1")
-        self.space = space
-        self.atom_probs = probs
-        self.nonnull_mask = nonnull
+        self.nonnull_mask = space.full_mask ^ self.nonpos_mask()
 
     @property
     def null_mask(self) -> int:
         return self.space.full_mask ^ self.nonnull_mask
 
-    def evaluate(self, a: MeasurableSet) -> Fraction:
+    def evaluate(self, a: MeasurableSet) -> ExtReal:
         if a.space != self.space:
             raise SpaceMismatchError("set does not belong to this space")
-        total = Fraction(0)
-        for i in iter_bits(a.mask):
-            total += self.atom_probs[i]
-        return total
+        return self.mask_sum(a.mask)
 
     __call__ = evaluate
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Probability):
-            return NotImplemented
-        return self.space == other.space and self.atom_probs == other.atom_probs
-
-    def __repr__(self) -> str:
-        vals = ", ".join(
-            f"{self.space.atom_label(i)}={p}" for i, p in enumerate(self.atom_probs)
-        )
-        return f"Probability({vals})"
 
 
 class RandomVariable(AtomVector):
@@ -99,12 +84,12 @@ class RandomVariable(AtomVector):
     _kind = "randomvariable"
 
 
-def _weighted(value: ExtReal, p: Fraction) -> ExtReal:
+def _weighted(value: ExtReal, p: ExtReal) -> ExtReal:
     # integration convention: a null atom contributes 0 even for +-inf
-    if p == 0:
+    if p == ZERO:
         return ZERO
     if value.is_finite:
-        return ExtReal(value.as_fraction() * p)
+        return _ratio(value._n * p._n, value._d * p._d)
     return value
 
 
@@ -118,9 +103,7 @@ def mu_xi(xi: RandomVariable, prob: Probability) -> MaximalPartialMeasure:
     """
     if xi.space != prob.space:
         raise SpaceMismatchError("random variable and probability disagree on space")
-    atom_values = [
-        _weighted(v, prob.atom_probs[i]) for i, v in enumerate(xi.atom_values)
-    ]
+    atom_values = [_weighted(v, p) for v, p in zip(xi.atom_values, prob.atom_values)]
     return MaximalPartialMeasure(xi.space, atom_values)
 
 
@@ -151,10 +134,7 @@ def is_abs_continuous(mu: MaximalPartialMeasure, prob: Probability) -> bool:
     """
     if mu.space != prob.space:
         raise SpaceMismatchError("measure and probability disagree on space")
-    for i, p in enumerate(prob.atom_probs):
-        if p == 0 and mu.atom_values[i] != ZERO:
-            return False
-    return True
+    return all(mu.atom_values[i] == ZERO for i in iter_bits(prob.null_mask))
 
 
 def rn_derivative(mu: MaximalPartialMeasure, prob: Probability) -> RandomVariable:
@@ -172,12 +152,12 @@ def rn_derivative(mu: MaximalPartialMeasure, prob: Probability) -> RandomVariabl
             "some null atom carries a nonzero value; no density exists"
         )
     values: list[ExtReal] = []
-    for i, v in enumerate(mu.atom_values):
-        p = prob.atom_probs[i]
-        if p == 0:
+    for v, p in zip(mu.atom_values, prob.atom_values):
+        if p == ZERO:
             values.append(ZERO)
         elif v.is_finite:
-            values.append(ExtReal(v.as_fraction() / p))
+            # p > 0, so v / p keeps a positive denominator
+            values.append(_ratio(v._n * p._d, v._d * p._n))
         else:
             values.append(v)
     return RandomVariable(mu.space, values)

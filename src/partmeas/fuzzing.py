@@ -78,11 +78,13 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _LETTERS = "abcdefghijklmnopqrst"
 
-# the kinds of value drawn for an atom with their weights, and the chance
-# that a generated probability makes an atom null
+# the kinds of value drawn for an atom with their weights, the chance
+# that a generated probability makes an atom null, and the chance that a
+# generated positive measure puts +inf on an atom
 _VALUE_KINDS = ("finite", "+inf", "-inf")
 _VALUE_WEIGHTS = (6, 1, 1)
 _NULL_ATOM_CHANCE = 0.25
+_POSITIVE_INF_CHANCE = 0.15
 
 # The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
 # the default, about a minute at max_atoms=6 on a 2-CPU VM.
@@ -171,11 +173,11 @@ def _random_total_measure(rng: random.Random, space: FiniteSpace) -> Measure:
 
 
 def _random_positive_measure(
-    rng: random.Random, space: FiniteSpace, inf_chance: float = 0.15
+    rng: random.Random, space: FiniteSpace
 ) -> PositiveMeasure:
     vals = []
     for _ in range(space.n_atoms):
-        if rng.random() < inf_chance:
+        if rng.random() < _POSITIVE_INF_CHANCE:
             vals.append(PLUS_INF)
         else:
             vals.append(ExtReal(Fraction(rng.randint(0, 8), rng.randint(1, 8))))
@@ -203,12 +205,7 @@ def _random_ac_pair(
     """A measure absolutely continuous w.r.t. a probability with null atoms."""
     space = _random_space(rng, cfg.max_atoms)
     prob = _random_probability(rng, space)
-    vals = []
-    for i in range(space.n_atoms):
-        if prob.atom_probs[i] == 0:
-            vals.append(ZERO)
-        else:
-            vals.append(_random_value(rng))
+    vals = [ZERO if p == ZERO else _random_value(rng) for p in prob.atom_values]
     return MaximalPartialMeasure(space, vals), prob
 
 
@@ -398,12 +395,11 @@ def _prop_hahn_total(rng, cfg):
 # partial measure properties
 
 
-def _random_domain_generators(rng, mu, max_count=3) -> list[MeasurableSet]:
+def _random_domain_generators(rng, mu) -> list[MeasurableSet]:
     k = mu.space.n_atoms
     masks = [m for m in range(1 << k) if mu.in_domain_mask(m)]
     return [
-        MeasurableSet(mu.space, rng.choice(masks))
-        for _ in range(rng.randint(0, max_count))
+        MeasurableSet(mu.space, rng.choice(masks)) for _ in range(rng.randint(0, 3))
     ]
 
 
@@ -653,12 +649,11 @@ def _prop_mu_xi_domain(rng, cfg):
     xi = RandomVariable(space, [_random_value(rng) for _ in range(space.n_atoms)])
     m = mu_xi(xi, prob)
     products = []
-    for i, v in enumerate(xi.atom_values):
-        p = prob.atom_probs[i]
-        if p == 0:
+    for v, p in zip(xi.atom_values, prob.atom_values):
+        if p == ZERO:
             products.append(ZERO)
         elif v.is_finite:
-            products.append(ExtReal(v.as_fraction() * p))
+            products.append(ExtReal(v.as_fraction() * p.as_fraction()))
         else:
             products.append(v)
     for i, expected in enumerate(products):
@@ -677,7 +672,7 @@ def _prop_rn_round_trip(rng, cfg):
     xi = rn_derivative(mu, prob)
     if mu_xi(xi, prob) != mu:
         _fail("derivative does not integrate back", mu=mu)
-    null_atoms = [i for i in range(mu.space.n_atoms) if prob.atom_probs[i] == 0]
+    null_atoms = list(iter_bits(prob.null_mask))
     if null_atoms:
         vals = list(xi.atom_values)
         for i in null_atoms:
@@ -685,7 +680,7 @@ def _prop_rn_round_trip(rng, cfg):
         eta = RandomVariable(mu.space, vals)
         if mu_xi(eta, prob) != mu:
             _fail("perturbing a null atom changed the integral", mu=mu)
-    non_null = [i for i in range(mu.space.n_atoms) if prob.atom_probs[i] > 0]
+    non_null = list(iter_bits(prob.nonnull_mask))
     i = rng.choice(non_null)
     vals = list(xi.atom_values)
     vals[i] = vals[i] + ExtReal(1) if vals[i].is_finite else ZERO

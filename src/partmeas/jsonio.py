@@ -26,12 +26,12 @@ domain errors of the constructing module.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from . import extreal
 from .density import Probability, RandomVariable
 from .errors import SchemaError
-from .extreal import ExtReal
 from .measure import AtomVector, Measure
 from .partial import MaximalPartialMeasure, PartialMeasure, validate_partial
 from .spaces import FiniteSpace, MeasurableSet, generate_algebra
@@ -66,11 +66,17 @@ def _require(obj: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _parse_value(text: Any, where: str) -> ExtReal:
+def _parse_value(
+    text: Any,
+    where: str,
+    parse: Callable[[str], Any] = extreal.parse,
+    noun: str = "values",
+) -> Any:
+    """``parse(text)``, with a SchemaError naming ``where`` on bad input."""
     if not isinstance(text, str):
-        raise SchemaError(f"{where}: values must be encoded as strings")
+        raise SchemaError(f"{where}: {noun} must be encoded as strings")
     try:
-        return extreal.parse(text)
+        return parse(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -103,9 +109,13 @@ def parse_space(obj: Any) -> FiniteSpace:
 
 
 def _vector_codec(
-    kind: str, cls: type[AtomVector], key: str
+    kind: str,
+    cls: type[AtomVector],
+    key: str,
+    parse_value: Callable[[Any, str], Any] = _parse_value,
 ) -> tuple[Callable[[Any], AtomVector], Callable[[AtomVector], dict]]:
-    """Parser and payload builder for an atom-vector kind stored under ``key``."""
+    """Parser and payload builder for an atom-vector kind stored under
+    ``key``, reading each atom's entry with ``parse_value``."""
 
     def parse(obj: Any) -> AtomVector:
         space = parse_space(_require(obj, "space", dict, kind))
@@ -115,7 +125,7 @@ def _vector_codec(
             raise SchemaError(
                 f"{kind}: {key!r} must have one entry per atom {sorted(labels)}"
             )
-        return cls(space, [_parse_value(table[lab], kind) for lab in labels])
+        return cls(space, [parse_value(table[lab], kind) for lab in labels])
 
     def payload(vec: AtomVector) -> dict:
         labels = vec.space.atom_labels
@@ -133,6 +143,13 @@ parse_maximal, maximal_payload = _vector_codec(
 )
 parse_randomvariable, randomvariable_payload = _vector_codec(
     "randomvariable", RandomVariable, "values"
+)
+# probabilities are finite: "+inf" is a schema error, not a value
+parse_probability, probability_payload = _vector_codec(
+    "probability",
+    Probability,
+    "probs",
+    partial(_parse_value, parse=extreal.parse_rational, noun="probabilities"),
 )
 
 
@@ -165,35 +182,6 @@ def parse_partial(obj: Any) -> PartialMeasure:
         s: _parse_value(raw_values[key], "partial") for key, s in sets.items()
     }
     return validate_partial(space, sets.values(), values)
-
-
-def probability_payload(p: Probability) -> dict:
-    return {
-        "space": space_payload(p.space),
-        "probs": {
-            p.space.atom_label(i): str(q) for i, q in enumerate(p.atom_probs)
-        },
-    }
-
-
-def parse_probability(obj: Any) -> Probability:
-    space = parse_space(_require(obj, "space", dict, "probability"))
-    table = _require(obj, "probs", dict, "probability")
-    labels = space.atom_labels
-    if set(table) != set(labels):
-        raise SchemaError(
-            f"probability: 'probs' must have one entry per atom {sorted(labels)}"
-        )
-    probs = []
-    for lab in labels:
-        text = table[lab]
-        if not isinstance(text, str):
-            raise SchemaError("probability: probabilities must be encoded as strings")
-        try:
-            probs.append(extreal.parse_rational(text))
-        except ValueError as exc:
-            raise SchemaError(f"probability: {exc}") from None
-    return Probability(space, probs)
 
 
 INSTANCE_KINDS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], dict]]] = {

@@ -39,11 +39,13 @@ from .errors import (
     NotTraceClosedError,
     SchemaError,
     SpaceMismatchError,
+    TooLargeError,
     UnknownPointError,
 )
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
 from .measure import AtomVector, PositiveMeasure, hahn_decomposition
 from .spaces import (
+    ENUMERATION_CAP,
     FiniteSpace,
     MeasurableSet,
     check_enumerable,
@@ -230,13 +232,20 @@ def _down_closure(masks: Iterable[int]) -> set[int]:
 
     Generators are visited in descending mask order, so a generator that
     is already present arrived with a superset, together with all of its
-    own subsets, and is skipped.
+    own subsets, and is skipped.  Raises TooLargeError for a generator of
+    more than ENUMERATION_CAP atoms, and once the closure holds more than
+    2**ENUMERATION_CAP sets.
     """
     closed = {0}
     for mask in sorted(masks, reverse=True):
         if mask not in closed:
             check_enumerable(mask.bit_count(), what="domain set")
             closed.update(iter_submasks(mask))
+            if len(closed) > 1 << ENUMERATION_CAP:
+                raise TooLargeError(
+                    f"domain has {len(closed)} sets; "
+                    f"enumeration capped at 2**{ENUMERATION_CAP}"
+                )
     return closed
 
 

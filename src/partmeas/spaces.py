@@ -72,7 +72,7 @@ class FiniteSpace:
     is canonical, so value equality of spaces is decidable.
     """
 
-    __slots__ = ("points", "atoms", "_index", "_hash")
+    __slots__ = ("points", "atoms", "_index", "_atom_of", "_hash")
 
     def __init__(self, points: Sequence[str], atoms: Iterable[int]):
         pts = tuple(points)
@@ -84,7 +84,8 @@ class FiniteSpace:
         all_points = (1 << len(pts)) - 1
         blocks = sorted(atoms, key=lambda m: (m & -m).bit_length())
         seen = 0
-        for m in blocks:
+        atom_of = [0] * len(pts)  # the atom index of each point index
+        for i, m in enumerate(blocks):
             if m == 0:
                 raise ValueError("empty atom")
             if m & seen:
@@ -92,11 +93,18 @@ class FiniteSpace:
             if m & ~all_points:
                 raise ValueError("atom mentions an unknown point index")
             seen |= m
+            # an inline bit walk: spaces are built on hot paths, and an
+            # iter_bits generator per atom costs about twice as much
+            while m:
+                low = m & -m
+                atom_of[low.bit_length() - 1] = i
+                m ^= low
         if seen != all_points:
             raise ValueError("atoms do not cover all points")
         self.points = pts
         self.atoms = tuple(blocks)
         self._index = {p: i for i, p in enumerate(pts)}
+        self._atom_of = tuple(atom_of)
         self._hash = hash((pts, self.atoms))
 
     @classmethod
@@ -145,18 +153,17 @@ class FiniteSpace:
         Raises UnknownPointError for a foreign label and
         NotMeasurableError when the point set is not a union of atoms.
         """
-        pmask = 0
+        pmask = amask = 0
         for lab in labels:
             i = self._index.get(lab)
             if i is None:
                 raise UnknownPointError(f"unknown point {lab!r}")
             pmask |= 1 << i
-        amask = 0
+            amask |= 1 << self._atom_of[i]
+        # measurable exactly when every atom touched is listed in full
         covered = 0
-        for i, block in enumerate(self.atoms):
-            if block & pmask == block:
-                amask |= 1 << i
-                covered |= block
+        for i in iter_bits(amask):
+            covered |= self.atoms[i]
         if covered != pmask:
             raise NotMeasurableError(
                 f"{sorted(labels)} is not a union of atoms of this algebra"

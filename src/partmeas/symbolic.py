@@ -235,19 +235,23 @@ def _subsets(ids: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield from combinations(ids, r)
 
 
-def f_plus_enumeration_oracle(c: SymbolicSet, fresh_per_half: int = 2) -> bool:
+# fresh indices the enumeration oracle draws from each cofinite half
+_FRESH_PER_HALF = 2
+
+
+def f_plus_enumeration_oracle(c: SymbolicSet) -> bool:
     """Bounded enumeration cross-check for :func:`sym_in_f_plus`.
 
     Generates measurable subsets of ``c`` from its explicit indices plus
-    a few fresh indices drawn from cofinite remainders, and inspects
-    their values directly.
+    ``_FRESH_PER_HALF`` fresh indices drawn from each cofinite remainder,
+    and inspects their values directly.
     """
     if not sym_in_algebra(c):
         raise NotInAlgebraError(f"{c!r} is outside the modelled algebra")
     if mu3(c) is SymbolicValue.UNDEFINED:
         return False
-    b_pool = c.b_part.sample_ids(fresh_per_half)
-    bc_pool = c.bc_part.sample_ids(fresh_per_half)
+    b_pool = c.b_part.sample_ids(_FRESH_PER_HALF)
+    bc_pool = c.bc_part.sample_ids(_FRESH_PER_HALF)
     candidates: list[SymbolicSet] = []
     for u in _subsets(b_pool):
         for v in _subsets(bc_pool):
@@ -269,15 +273,12 @@ def f_plus_enumeration_oracle(c: SymbolicSet, fresh_per_half: int = 2) -> bool:
     return True
 
 
-def random_algebra_member(rng: random.Random, max_id: int = 9) -> SymbolicSet:
-    """A random member of the modelled algebra (both halves same kind)."""
+def random_algebra_member(rng: random.Random) -> SymbolicSet:
+    """A random member of the modelled algebra (both halves same kind),
+    each half listing up to four explicit indices from 0..9."""
     kind = FINITE if rng.random() < 0.5 else COFINITE
-    ids_b = tuple(
-        rng.sample(range(max_id + 1), rng.randint(0, min(4, max_id + 1)))
-    )
-    ids_bc = tuple(
-        rng.sample(range(max_id + 1), rng.randint(0, min(4, max_id + 1)))
-    )
+    ids_b = tuple(rng.sample(range(10), rng.randint(0, 4)))
+    ids_bc = tuple(rng.sample(range(10), rng.randint(0, 4)))
     return SymbolicSet(HalfSet(kind, ids_b), HalfSet(kind, ids_bc))
 
 

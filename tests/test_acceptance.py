@@ -298,7 +298,7 @@ def _random_ac_instance(rng, max_atoms=5):
         ZERO,
     ]
     values = [
-        ZERO if prob.atom_probs[i] == 0 else rng.choice(pool)
+        ZERO if prob.atom_values[i] == ZERO else rng.choice(pool)
         for i in range(space.n_atoms)
     ]
     return MaximalPartialMeasure(space, values), prob
@@ -318,10 +318,10 @@ def test_criterion_6_derivative_round_trip():
             failures += 1
             continue
         null_atoms = [
-            i for i in range(mu.space.n_atoms) if prob.atom_probs[i] == 0
+            i for i in range(mu.space.n_atoms) if prob.atom_values[i] == ZERO
         ]
         non_null = [
-            i for i in range(mu.space.n_atoms) if prob.atom_probs[i] > 0
+            i for i in range(mu.space.n_atoms) if prob.atom_values[i] > ZERO
         ]
         if null_atoms:
             pairs_with_null_atoms += 1

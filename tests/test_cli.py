@@ -361,3 +361,35 @@ def test_too_large_detail_counts_the_domain_set(tmp_path, capsys):
         "code": "TooLarge",
         "detail": "domain set has 21 atoms; enumeration capped at 20",
     }
+
+
+def test_domain_closure_past_the_budget_exits_2(tmp_path, capsys):
+    # a 20-atom domain set alone closes to 2**20 sets, the budget; one
+    # more singleton outside it makes 2**20 + 1
+    points = [f"p{i:02d}" for i in range(21)]
+    wide = points[:20]
+    domain = [[lab] for lab in points] + [wide]
+    values = {lab: "1" for lab in points}
+    values[",".join(wide)] = "20"
+    f = tmp_path / "closure.json"
+    f.write_text(json.dumps({
+        "kind": "partial",
+        "payload": {"space": {"points": points}, "domain": domain, "values": values},
+    }))
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 2
+    assert out["error"] == {
+        "code": "TooLarge",
+        "detail": "domain has 1048577 sets; enumeration capped at 2**20",
+    }
+
+
+def test_memory_error_while_loading_exits_1(files, monkeypatch, capsys):
+    def exhausted(handle):
+        raise MemoryError
+
+    monkeypatch.setattr(json, "load", exhausted)
+    code, out = run(capsys, "validate", files["maximal"])
+    assert code == 1
+    assert out["error"]["code"] == "Schema"
+    assert out["error"]["detail"].endswith("JSON document is too large")

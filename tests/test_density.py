@@ -15,6 +15,7 @@ from partmeas import (
     ZERO,
     ess_sup,
     f_plus,
+    generate_algebra,
     is_abs_continuous,
     mu_xi,
     rn_derivative,
@@ -25,6 +26,8 @@ from partmeas.errors import (
     NotAbsContinuousError,
     SpaceMismatchError,
 )
+from partmeas import extreal
+from partmeas.spaces import iter_bits
 from oracles import eval_scratch, quasi_integrable, submasks
 
 E = ExtReal
@@ -40,7 +43,62 @@ def test_probability_validation():
         Probability(SPACE4, [Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(InvalidProbabilityError):
         Probability(SPACE4, [1])
-    assert UNIFORM4.evaluate(SPACE4.full_set()) == 1
+    assert UNIFORM4.evaluate(SPACE4.full_set()) == E(1)
+
+
+def test_probability_error_texts():
+    for probs, text in (
+        ([Fraction(1, 2)] * 4, "atom probabilities sum to 2, not 1"),
+        (
+            [Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)],
+            "atom 'a' has negative probability -1/4",
+        ),
+        ([1], "expected 4 atom probabilities, got 1"),
+    ):
+        with pytest.raises(InvalidProbabilityError) as info:
+            Probability(SPACE4, probs)
+        assert str(info.value) == text
+
+
+def test_probability_rejects_inexact_values():
+    for bad in (0.25, "1/4"):
+        with pytest.raises(TypeError):
+            Probability(SPACE4, [bad] * 4)
+
+
+def test_probability_repr_equality_and_hash():
+    assert repr(HALF_NULL) == "Probability(a=1/2, b=1/2, c=0, d=0)"
+    coarse = generate_algebra("abcde", [["a", "b"], ["c"]])
+    assert repr(Probability(coarse, [Fraction(1, 3), Fraction(2, 3), 0])) == (
+        "Probability(a=1/3, c=2/3, d=0)"
+    )
+    same = Probability(SPACE4, [Fraction(2, 4), Fraction(1, 2), Fraction(0), 0])
+    assert same == HALF_NULL and hash(same) == hash(HALF_NULL)
+    assert len({same, HALF_NULL, UNIFORM4}) == 2
+    lookalike = RandomVariable(SPACE4, HALF_NULL.atom_values)
+    assert HALF_NULL != lookalike and lookalike != HALF_NULL
+    assert HALF_NULL.null_mask == 0b1100 and HALF_NULL.nonnull_mask == 0b0011
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_probability_evaluate_is_the_atom_sum(seed):
+    rng = random.Random(seed)
+    points = "abcdefg"[: rng.randint(1, 7)]
+    space = generate_algebra(
+        points, [rng.sample(points, rng.randint(0, len(points))) for _ in range(2)]
+    )
+    weights = [
+        Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(space.n_atoms)
+    ]
+    weights[0] += 1
+    total = sum(weights)
+    prob = Probability(space, [w / total for w in weights])
+    for mask in range(1 << space.n_atoms):
+        value = prob.evaluate(MeasurableSet(space, mask))
+        assert isinstance(value, ExtReal)
+        assert value == extreal.sum(prob.atom_values[i] for i in iter_bits(mask))
+    with pytest.raises(SpaceMismatchError):
+        prob.evaluate(FiniteSpace.discrete("xyz").full_set())
 
 
 def test_mu_xi_zero():
@@ -89,7 +147,7 @@ def test_mu_xi_domain_is_quasi_integrability(seed):
     m = mu_xi(xi, prob)
     for mask in range(1 << space.n_atoms):
         assert m.in_domain_mask(mask) == quasi_integrable(
-            xi.atom_values, prob.atom_probs, mask
+            xi.atom_values, [p.as_fraction() for p in prob.atom_values], mask
         )
 
 
@@ -106,7 +164,7 @@ def test_ess_sup_derived_example():
 
     # both defining properties, exhaustively over the algebra
     def null(mask):
-        return UNIFORM4.evaluate(MeasurableSet(SPACE4, mask)) == 0
+        return UNIFORM4.evaluate(MeasurableSet(SPACE4, mask)) == ZERO
 
     for f in family:
         assert null(f.mask & ~result.mask)
@@ -176,7 +234,7 @@ def test_round_trip_and_split_random(seed):
     prob = Probability(space, [w / total for w in weights])
     pool = [E(Fraction(rng.randint(-5, 5), rng.randint(1, 5))), PLUS_INF, MINUS_INF]
     vals = [
-        ZERO if prob.atom_probs[i] == 0 else rng.choice(pool)
+        ZERO if prob.atom_values[i] == ZERO else rng.choice(pool)
         for i in range(space.n_atoms)
     ]
     mu = MaximalPartialMeasure(space, vals)
@@ -202,7 +260,7 @@ def test_round_trip_and_split_random(seed):
         assert v is not None and v <= ZERO
 
     # a.s. uniqueness, both directions
-    non_null = [i for i in range(space.n_atoms) if prob.atom_probs[i] > 0]
+    non_null = [i for i in range(space.n_atoms) if prob.atom_values[i] > ZERO]
     i = rng.choice(non_null)
     vals = list(xi.atom_values)
     vals[i] = vals[i] + E(1) if vals[i].is_finite else ZERO

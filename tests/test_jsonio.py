@@ -108,6 +108,22 @@ def test_probability_rejects_infinities():
         jsonio.parse_probability(payload)
 
 
+def test_probability_error_texts():
+    space = {"points": ["a", "b"]}
+    for probs, detail in (
+        ({"a": "+inf", "b": "0"}, "probability: not a rational literal: '+inf'"),
+        ({"a": "1/2", "b": "1/0"}, "probability: zero denominator: '1/0'"),
+        ({"a": 1, "b": "0"}, "probability: probabilities must be encoded as strings"),
+        ({"a": "1"}, "probability: 'probs' must have one entry per atom ['a', 'b']"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            jsonio.parse_probability({"space": space, "probs": probs})
+        assert str(info.value) == detail
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_probability({"probs": {}})
+    assert str(info.value) == "probability: missing key 'space'"
+
+
 def test_randomvariable_roundtrip():
     space = FiniteSpace.discrete("ab")
     xi = RandomVariable(space, [PLUS_INF, E(Fraction(-1, 2))])

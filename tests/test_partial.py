@@ -489,3 +489,19 @@ def test_disjoint_families_and_union_closure(seed):
     # downward closure
     f = rng.choice(fp)
     assert (rng.randrange(1 << space.n_atoms) & f) in fp
+
+
+def test_down_closure_budget_counts_the_whole_domain(monkeypatch):
+    # with the cap at 3 atoms the budget is 2**3 sets: one 3-atom domain
+    # set fills it, and any set outside it goes past
+    from partmeas import partial
+
+    monkeypatch.setattr(partial, "ENUMERATION_CAP", 3)
+    space = FiniteSpace.discrete("abcde")
+    mu = MaximalPartialMeasure(space, [ExtReal(1)] * 5)
+    abc = space.set_from_points("abc")
+    assert len(restrict_to(mu, [abc, space.set_from_points("ab")]).domain_sets()) == 8
+    with pytest.raises(TooLargeError, match=r"has 9 sets; enumeration capped at 2\*\*3"):
+        restrict_to(mu, [abc, space.set_from_points("d")])
+    with pytest.raises(TooLargeError, match="domain has 16 sets"):
+        restrict_to(mu, [space.set_from_points("abcd")])

@@ -144,3 +144,48 @@ def test_key_and_labels_ordering():
     assert s.labels() == ("b", "d")
     assert s.key() == "b,d"
     assert space.empty_set().key() == ""
+
+
+def _brute_set_from_points(space, labels):
+    """The definition: the atoms lying inside the listed points, which must
+    cover them exactly; an unlisted label is reported first."""
+    for lab in labels:
+        if lab not in space.points:
+            return UnknownPointError, f"unknown point {lab!r}"
+    listed = set(labels)
+    mask = 0
+    covered = set()
+    for i in range(space.n_atoms):
+        block = set(space.atom_points(i))
+        if block <= listed:
+            mask |= 1 << i
+            covered |= block
+    if covered != listed:
+        text = f"{sorted(labels)} is not a union of atoms of this algebra"
+        return NotMeasurableError, text
+    return MeasurableSet(space, mask)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_set_from_points_matches_the_definition(seed):
+    rng = random.Random(seed)
+    points = [f"x{i}" for i in range(rng.randint(1, 9))]
+    gens = [
+        rng.sample(points, rng.randint(0, len(points)))
+        for _ in range(rng.randint(0, 4))
+    ]
+    space = generate_algebra(points, gens)
+    for _ in range(30):
+        labels = rng.sample(points, rng.randint(0, len(points)))
+        labels += rng.sample(labels, rng.randint(0, len(labels)))  # repeats
+        if rng.random() < 0.1:
+            labels.insert(rng.randint(0, len(labels)), "stranger")
+        rng.shuffle(labels)
+        expected = _brute_set_from_points(space, labels)
+        if isinstance(expected, MeasurableSet):
+            assert space.set_from_points(labels) == expected
+        else:
+            cls, text = expected
+            with pytest.raises(cls) as info:
+                space.set_from_points(labels)
+            assert str(info.value) == text
