@@ -106,10 +106,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key is a schema error, since
+    json.load would otherwise keep only the last of its values."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load(path: str, expected_kind: str | None = None):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise SchemaError(f"{path}: JSON nesting is too deep") from None
         except MemoryError:

@@ -47,7 +47,8 @@ Rational = Union[int, Fraction]
 # the total order -inf < finite < +inf.
 _NEG, _FIN, _POS = -1, 0, 1
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# ASCII digits only: a bare \d matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 
 class ExtReal:

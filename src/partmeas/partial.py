@@ -6,10 +6,14 @@ measurable subset of B (on a finite algebra the trace sets A ∩ B are
 exactly the measurable subsets of B).  Consequently the atoms under any
 domain set are themselves domain sets, values on atoms determine values
 everywhere in the domain by additivity, and within a single domain set
-the atom values never mix +inf with -inf.  A :class:`PartialMeasure`
-is therefore stored as its domain masks plus an atom vector of its
-determined atoms, with the free atoms set to 0; a domain set's value is
-its atom sum.
+the atom values never mix +inf with -inf.  A trace-closed domain is
+also fixed by its maximal sets, so a :class:`PartialMeasure` is stored
+as those maximal masks plus an atom vector of its determined atoms, with
+the free atoms set to 0; a domain set's value is its atom sum.  Only
+:meth:`PartialMeasure.domain_sets` lists the whole domain, so the
+enumeration budget (at most ENUMERATION_CAP atoms in a domain set and
+2**ENUMERATION_CAP sets in all) applies where the domain is listed or
+echoed, not at construction.
 
 A maximal partial measure is one admitting no proper extension.  On a
 finite algebra these are exactly the arbitrary atom-value vectors: the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -80,22 +85,23 @@ class PartialMeasure:
     """A validated partial measure with an explicit, trace-closed domain.
 
     Construct through :func:`validate_partial`, :func:`diff_measures` or
-    :func:`restrict_to`; the raw constructor trusts its input: ``masks``
-    must be trace-closed and no mask may mix +inf and -inf atoms of
-    ``atom_values``.  Values of atoms outside every mask are replaced by
-    0, so two partial measures with the same domain and the same values
-    are equal however they were built.
+    :func:`restrict_to`; the raw constructor trusts its input: no mask
+    may mix +inf and -inf atoms of ``atom_values``.  The domain is every
+    subset of a mask in ``masks``, and only the maximal masks are kept
+    (``{0}`` when no mask is nonempty).  Values of atoms outside every
+    mask are replaced by 0, so two partial measures with the same domain
+    and the same values are equal however they were built.
     """
 
-    __slots__ = ("space", "_masks", "_atoms", "covered_atoms")
+    __slots__ = ("space", "_maximal", "_atoms", "covered_atoms")
 
     def __init__(
         self, space: FiniteSpace, masks: Iterable[int], atom_values: Sequence[ExtReal]
     ):
         self.space = space
-        self._masks = frozenset(masks)
+        self._maximal = _maximal_masks(masks)
         covered = 0
-        for m in self._masks:
+        for m in self._maximal:
             covered |= m
         self.covered_atoms = covered
         self._atoms = MaximalPartialMeasure(
@@ -104,13 +110,32 @@ class PartialMeasure:
         )
 
     def domain_sets(self) -> list[MeasurableSet]:
-        """The domain in canonical mask order."""
-        return [MeasurableSet(self.space, m) for m in sorted(self._masks)]
+        """The domain in canonical mask order.
+
+        Raises TooLargeError for a maximal set of more than
+        ENUMERATION_CAP atoms, and once the domain holds more than
+        2**ENUMERATION_CAP sets.
+        """
+        closed = {0}
+        for mask in sorted(self._maximal, reverse=True):
+            check_enumerable(mask.bit_count(), what="domain set")
+            closed.update(iter_submasks(mask))
+            if len(closed) > 1 << ENUMERATION_CAP:
+                raise TooLargeError(
+                    f"domain has {len(closed)} sets; "
+                    f"enumeration capped at 2**{ENUMERATION_CAP}"
+                )
+        return [MeasurableSet(self.space, m) for m in sorted(closed)]
 
     def in_domain(self, a: MeasurableSet) -> bool:
         if a.space != self.space:
             raise SpaceMismatchError("set does not belong to this space")
-        return a.mask in self._masks
+        # a plain loop: any() over a generator costs about four times as
+        # much for the few maximal sets a domain usually has
+        for g in self._maximal:
+            if a.mask | g == g:
+                return True
+        return False
 
     def evaluate(self, a: MeasurableSet) -> ExtReal:
         if not self.in_domain(a):
@@ -128,10 +153,43 @@ class PartialMeasure:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialMeasure):
             return NotImplemented
-        return self._masks == other._masks and self._atoms == other._atoms
+        return self._maximal == other._maximal and self._atoms == other._atoms
 
     def __repr__(self) -> str:
-        return f"PartialMeasure({len(self._masks)} sets on {self.space!r})"
+        return f"PartialMeasure({len(self._maximal)} maximal sets on {self.space!r})"
+
+
+def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
+    """The maximal elements of ``masks``; ``{0}`` when none is nonempty.
+
+    Masks are visited by size, largest first.  A proper superset of a
+    mask is larger and holds the mask's lowest atom, so the mask is
+    tested only against the larger kept sets indexed under that atom,
+    not against every kept set; sets of one size, such as a wide
+    antichain, are never compared with each other.
+    """
+    kept: list[int] = []
+    by_atom: dict[int, list[int]] = {}
+    by_size = sorted(masks, key=int.bit_count, reverse=True)
+    for size, level in groupby(by_size, key=int.bit_count):
+        if not size:
+            break
+        new = []
+        for mask in level:
+            # a plain loop, as in in_domain
+            for g in by_atom.get(mask & -mask, ()):
+                if mask | g == g:
+                    break
+            else:
+                new.append(mask)
+        for mask in new:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                by_atom.setdefault(low, []).append(mask)
+                rest ^= low
+        kept += new
+    return frozenset(kept or [0])
 
 
 class MaximalPartialMeasure(AtomVector):
@@ -184,8 +242,8 @@ def validate_partial(
     makes the required trace value underivable (NotTraceClosedError).
     Each supplied set must avoid mixing +inf/-inf among its atoms
     (MixedInfinitiesInDomainSetError) and must equal its atom sum
-    (AdditivityViolationError).  Subsets of supplied sets are then added
-    with their atom-sum values, which makes the domain trace-closed.
+    (AdditivityViolationError).  The domain is then every subset of a
+    supplied set, valued by its atom sum, which makes it trace-closed.
     """
     vmap: dict[int, ExtReal] = {}
     dom_masks = set()
@@ -224,29 +282,7 @@ def validate_partial(
             raise AdditivityViolationError(
                 f"value {vmap[mask]} of {a.key()!r} differs from its atom sum {total}"
             )
-    return PartialMeasure(space, _down_closure(vmap), atoms.atom_values)
-
-
-def _down_closure(masks: Iterable[int]) -> set[int]:
-    """The empty set and every subset of ``masks``.
-
-    Generators are visited in descending mask order, so a generator that
-    is already present arrived with a superset, together with all of its
-    own subsets, and is skipped.  Raises TooLargeError for a generator of
-    more than ENUMERATION_CAP atoms, and once the closure holds more than
-    2**ENUMERATION_CAP sets.
-    """
-    closed = {0}
-    for mask in sorted(masks, reverse=True):
-        if mask not in closed:
-            check_enumerable(mask.bit_count(), what="domain set")
-            closed.update(iter_submasks(mask))
-            if len(closed) > 1 << ENUMERATION_CAP:
-                raise TooLargeError(
-                    f"domain has {len(closed)} sets; "
-                    f"enumeration capped at 2**{ENUMERATION_CAP}"
-                )
-    return closed
+    return PartialMeasure(space, vmap, atoms.atom_values)
 
 
 def _finite_sum_table(values: Sequence[ExtReal], k: int) -> list[Fraction]:
@@ -269,10 +305,9 @@ def diff_measures(m1: PositiveMeasure, m2: PositiveMeasure) -> PartialMeasure:
         raise NotPositiveError("diff_measures requires two positive measures")
     if m1.space != m2.space:
         raise SpaceMismatchError("measures live on different spaces")
-    k = m1.space.n_atoms
-    check_enumerable(k)
-    pos1, pos2 = m1.pos_inf_mask, m2.pos_inf_mask
-    domain = [m for m in range(1 << k) if not (m & pos1 and m & pos2)]
+    # a well-posed set avoids the +inf atoms of m1 or those of m2
+    full = m1.space.full_mask
+    domain = [full ^ m1.pos_inf_mask, full ^ m2.pos_inf_mask]
     atom_values = [
         ZERO if v1 == v2 == PLUS_INF else v1 - v2
         for v1, v2 in zip(m1.atom_values, m2.atom_values)
@@ -491,7 +526,7 @@ def restrict_to(
         if not mu.in_domain_mask(g.mask):
             raise NotInDomainError(f"{g!r} is outside the derived domain")
         masks.append(g.mask)
-    return PartialMeasure(mu.space, _down_closure(masks), mu.atom_values)
+    return PartialMeasure(mu.space, masks, mu.atom_values)
 
 
 def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
@@ -505,10 +540,13 @@ def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
     """
     k = pm.space.n_atoms
     check_enumerable(k)
+    # one listing of the domain: a submask test per set would cost
+    # 2**k times the number of maximal sets
+    domain = {s.mask for s in pm.domain_sets()}
     return [
         MeasurableSet(pm.space, m)
         for m in range(1 << k)
-        if m not in pm._masks and pm._atoms.in_domain_mask(m)
+        if m not in domain and pm._atoms.in_domain_mask(m)
     ]
 
 

@@ -384,8 +384,63 @@ def test_domain_closure_past_the_budget_exits_2(tmp_path, capsys):
     }
 
 
+def test_maximalize_does_not_list_the_domain(tmp_path, capsys):
+    # three disjoint 20-atom domain sets: maximalize needs only the atom
+    # vector, while validate echoes the domain and meets its budget
+    points = [f"p{i:02d}" for i in range(60)]
+    blocks = [points[i:i + 20] for i in (0, 20, 40)]
+    values = {lab: "1" for lab in points}
+    values.update({",".join(block): "20" for block in blocks})
+    f = tmp_path / "blocks.json"
+    f.write_text(json.dumps({
+        "kind": "partial",
+        "payload": {"space": {"points": points},
+                    "domain": [[lab] for lab in points] + blocks,
+                    "values": values},
+    }))
+    code, out = run(capsys, "maximalize", str(f), "--no-banner")
+    assert code == 0
+    assert out == {
+        "kind": "maximal",
+        "payload": {"space": {"points": points, "generators": [[p] for p in points]},
+                    "atom_values": {lab: "1" for lab in points}},
+    }
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 2
+    assert out["error"] == {
+        "code": "TooLarge",
+        "detail": "domain has 2097151 sets; enumeration capped at 2**20",
+    }
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "measure", "kind": "maximal", "payload": %s}',
+    '{"kind": "measure", "payload": {"space": {"points": ["a"]},'
+    ' "values": {"a": "1", "a": "2"}}}',
+])
+def test_duplicate_json_keys_exit_1(tmp_path, capsys, text):
+    f = tmp_path / "dup.json"
+    f.write_text(text.replace("%s", json.dumps(MAXIMAL["payload"])))
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 1
+    assert out["error"]["code"] == "Schema"
+    assert "duplicate key" in out["error"]["detail"]
+
+
+def test_non_ascii_digits_exit_1(tmp_path, capsys):
+    f = tmp_path / "prob.json"
+    f.write_text(json.dumps({
+        "kind": "probability",
+        "payload": {"space": {"points": ["a", "b"]},
+                    "probs": {"a": "\u0661", "b": "0"}},
+    }))
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 1
+    assert out["error"]["code"] == "Schema"
+
+
 def test_memory_error_while_loading_exits_1(files, monkeypatch, capsys):
-    def exhausted(handle):
+    def exhausted(handle, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(json, "load", exhausted)

@@ -82,7 +82,9 @@ def test_parse_known(text, value):
     assert extreal.parse(text) == value
 
 
-@pytest.mark.parametrize("bad", ["1.5", "inf", "Infinity", "3/0", "", "1 / 2", "nan"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "inf", "Infinity", "3/0", "", "1 / 2", "nan", "١", "５", "1/٢"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         extreal.parse(bad)

@@ -422,6 +422,23 @@ def test_equality_is_value_equality_across_constructors():
     assert restricted != restrict_to(source, sets_of(SPACE4, ["a"], ["b"], ["c"]))
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_domain_is_the_closure_of_the_maximal_generators(seed):
+    # repeats, nested sets, equal-size antichains and the empty set
+    rng = random.Random(seed)
+    space = FiniteSpace.discrete("abcdefg"[: rng.randint(1, 7)])
+    mu = MaximalPartialMeasure(space, [ExtReal(1)] * space.n_atoms)
+    gens = [rng.randrange(1 << space.n_atoms) for _ in range(rng.randint(0, 12))]
+    gens += rng.sample(gens, len(gens) // 2)
+    maximal = [g for g in gens if not any(g != h and g | h == h for h in gens)]
+    closure = {sub for g in gens for sub in submasks(g)} | {0}
+    pm = restrict_to(mu, [MeasurableSet(space, g) for g in gens])
+    assert pm == restrict_to(mu, [MeasurableSet(space, g) for g in maximal])
+    assert [s.mask for s in pm.domain_sets()] == sorted(closure)
+    for mask in range(1 << space.n_atoms):
+        assert pm.in_domain(MeasurableSet(space, mask)) == (mask in closure)
+
+
 def test_restrict_to_rejects_sets_outside_domain():
     with pytest.raises(NotInDomainError):
         restrict_to(MIXED, [SPACE4.set_from_points(["c", "d"])])
@@ -502,6 +519,45 @@ def test_down_closure_budget_counts_the_whole_domain(monkeypatch):
     abc = space.set_from_points("abc")
     assert len(restrict_to(mu, [abc, space.set_from_points("ab")]).domain_sets()) == 8
     with pytest.raises(TooLargeError, match=r"has 9 sets; enumeration capped at 2\*\*3"):
-        restrict_to(mu, [abc, space.set_from_points("d")])
+        restrict_to(mu, [abc, space.set_from_points("d")]).domain_sets()
     with pytest.raises(TooLargeError, match="domain has 16 sets"):
-        restrict_to(mu, [space.set_from_points("abcd")])
+        restrict_to(mu, [space.set_from_points("abcd")]).domain_sets()
+
+
+def test_construction_never_lists_the_domain(monkeypatch):
+    from partmeas import partial
+
+    def enumerated(mask):
+        raise AssertionError("the domain was enumerated")
+
+    monkeypatch.setattr(partial, "iter_submasks", enumerated)
+    space = FiniteSpace.discrete([f"p{i:02d}" for i in range(30)])
+    full = space.full_set()
+    values = [E(i - 15) for i in range(30)]
+    singletons = [space.atom_set(i) for i in range(30)]
+    validated = validate_partial(
+        space,
+        singletons + [full],
+        {**dict(zip(singletons, values)), full: E(-15)},
+    )
+    restricted = restrict_to(MaximalPartialMeasure(space, values), [full])
+    assert validated == restricted
+    assert validated.evaluate(full) == restricted.evaluate(full) == E(-15)
+    assert maximalize(validated).atom_values == tuple(values)
+
+    # +inf on p00 in the first operand and on p01 in the second: every
+    # set holding both is ill-posed, and the two maximal sets drop one each
+    m1 = PositiveMeasure(space, [PLUS_INF] + [E(2)] * 29)
+    m2 = PositiveMeasure(space, [E(1), PLUS_INF] + [E(1)] * 28)
+    d = diff_measures(m1, m2)
+    no_p01 = MeasurableSet(space, full.mask ^ 0b10)
+    assert d.in_domain(no_p01) and d.evaluate(no_p01) == PLUS_INF
+    assert d.evaluate(MeasurableSet(space, full.mask ^ 0b11)) == E(28)
+    assert not d.in_domain(space.set_from_points(["p00", "p01"]))
+    assert maximalize(d).atom_values == (PLUS_INF, MINUS_INF) + (E(1),) * 28
+
+    for pm, n in ((validated, 30), (restricted, 30), (d, 29)):
+        with pytest.raises(
+            TooLargeError, match=f"^domain set has {n} atoms; enumeration capped at 20$"
+        ):
+            pm.domain_sets()
