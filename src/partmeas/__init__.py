@@ -12,114 +12,85 @@ as a zero-tolerance equality.  The pieces:
 * densities and essential suprema against an exact probability,
 * a symbolic two-half model on which no positive/negative split exists,
 * a CLI plus a seeded property-fuzzing suite.
+
+Each public name is resolved on first access (PEP 562) and then cached,
+so importing the package, or a module such as :mod:`partmeas.cli`,
+loads only the submodules that are used.
 """
 
-from .density import (
-    Probability,
-    RandomVariable,
-    ess_sup,
-    is_abs_continuous,
-    mu_xi,
-    rn_derivative,
-)
-from .errors import PartmeasError, SchemaError
-from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
-from .measure import AtomVector, Measure, PositiveMeasure, hahn_decomposition
-from .partial import (
-    JordanDecomposition,
-    MaximalPartialMeasure,
-    PartialMeasure,
-    can_extend_with,
-    check_minimality,
-    corollary1_witness,
-    diff_measures,
-    f_minus,
-    f_plus,
-    hahn_partial,
-    is_maximal,
-    jordan_decompose,
-    jordan_decompose_detailed,
-    jordan_sup,
-    maximalize,
-    restrict_to,
-    single_set_extensions,
-    validate_partial,
-    value_table,
-)
-from .spaces import (
-    ENUMERATION_CAP,
-    FiniteSpace,
-    MeasurableSet,
-    enumerate_sets,
-    generate_algebra,
-    trace_algebra,
-)
-from .symbolic import (
-    FPlusDecision,
-    HalfSet,
-    SymbolicSet,
-    SymbolicValue,
-    f_plus_enumeration_oracle,
-    hahn_failure_check,
-    mu3,
-    sym_in_algebra,
-    sym_in_f_minus,
-    sym_in_f_plus,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ExtReal",
-    "PLUS_INF",
-    "MINUS_INF",
-    "ZERO",
-    "FiniteSpace",
-    "MeasurableSet",
-    "generate_algebra",
-    "trace_algebra",
-    "enumerate_sets",
-    "ENUMERATION_CAP",
-    "AtomVector",
-    "Measure",
-    "PositiveMeasure",
-    "hahn_decomposition",
-    "PartialMeasure",
-    "MaximalPartialMeasure",
-    "validate_partial",
-    "diff_measures",
-    "maximalize",
-    "value_table",
-    "f_plus",
-    "f_minus",
-    "jordan_sup",
-    "JordanDecomposition",
-    "jordan_decompose",
-    "jordan_decompose_detailed",
-    "check_minimality",
-    "corollary1_witness",
-    "hahn_partial",
-    "restrict_to",
-    "single_set_extensions",
-    "is_maximal",
-    "can_extend_with",
-    "Probability",
-    "RandomVariable",
-    "mu_xi",
-    "ess_sup",
-    "is_abs_continuous",
-    "rn_derivative",
-    "HalfSet",
-    "SymbolicSet",
-    "SymbolicValue",
-    "FPlusDecision",
-    "sym_in_algebra",
-    "mu3",
-    "sym_in_f_plus",
-    "sym_in_f_minus",
-    "f_plus_enumeration_oracle",
-    "hahn_failure_check",
-    "PartmeasError",
-    "SchemaError",
-]
+# submodule -> the public names it provides; __all__ lists them in this order
+_EXPORTS = {
+    "extreal": ("ExtReal", "PLUS_INF", "MINUS_INF", "ZERO"),
+    "spaces": (
+        "FiniteSpace",
+        "MeasurableSet",
+        "generate_algebra",
+        "trace_algebra",
+        "enumerate_sets",
+        "ENUMERATION_CAP",
+    ),
+    "measure": ("AtomVector", "Measure", "PositiveMeasure", "hahn_decomposition"),
+    "partial": (
+        "PartialMeasure",
+        "MaximalPartialMeasure",
+        "validate_partial",
+        "diff_measures",
+        "maximalize",
+        "value_table",
+        "f_plus",
+        "f_minus",
+        "jordan_sup",
+        "JordanDecomposition",
+        "jordan_decompose",
+        "jordan_decompose_detailed",
+        "check_minimality",
+        "corollary1_witness",
+        "hahn_partial",
+        "restrict_to",
+        "single_set_extensions",
+        "is_maximal",
+        "can_extend_with",
+    ),
+    "density": (
+        "Probability",
+        "RandomVariable",
+        "mu_xi",
+        "ess_sup",
+        "is_abs_continuous",
+        "rn_derivative",
+    ),
+    "symbolic": (
+        "HalfSet",
+        "SymbolicSet",
+        "SymbolicValue",
+        "FPlusDecision",
+        "sym_in_algebra",
+        "mu3",
+        "sym_in_f_plus",
+        "sym_in_f_minus",
+        "f_plus_enumeration_oracle",
+        "hahn_failure_check",
+    ),
+    "errors": ("PartmeasError", "SchemaError"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

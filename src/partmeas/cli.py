@@ -24,7 +24,6 @@ from . import __version__, jsonio
 from .density import ess_sup, mu_xi, rn_derivative
 from .errors import PartmeasError, SchemaError
 from .extreal import ExtReal, parse as parse_value
-from .fuzzing import FuzzConfig, run_fuzz
 from .measure import Measure, hahn_decomposition
 from .partial import (
     MaximalPartialMeasure,
@@ -32,7 +31,6 @@ from .partial import (
     jordan_decompose_detailed,
     maximalize,
 )
-from .symbolic import hahn_failure_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,10 +213,14 @@ def _cmd_esssup(args) -> dict:
 
 
 def _cmd_example3(args) -> dict:
+    from .symbolic import hahn_failure_check
+
     return hahn_failure_check(seed=args.seed, trials=args.trials)
 
 
 def _cmd_fuzz(args) -> dict:
+    from .fuzzing import FuzzConfig, run_fuzz
+
     cfg = FuzzConfig(seed=args.seed, trials=args.trials, max_atoms=args.max_atoms)
     report, counterexamples = run_fuzz(cfg)
     files = []

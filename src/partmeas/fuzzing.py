@@ -581,9 +581,9 @@ def _prop_maximality_characterization(rng, cfg):
     gens = _random_domain_generators(rng, mu)
     pm = restrict_to(mu, gens)
     candidates = single_set_extensions(pm)
+    sets = pm.domain_sets()
     if candidates:
         s = rng.choice(candidates)
-        sets = pm.domain_sets()
         values = {x: pm.evaluate(x) for x in sets}
         new_atoms = {}
         for i in iter_bits(s.mask):
@@ -601,7 +601,7 @@ def _prop_maximality_characterization(rng, cfg):
         if not extended.in_domain(s):
             _fail("claimed single-set extension did not validate", mu=mu)
     mm = maximalize(pm)
-    for b in pm.domain_sets():
+    for b in sets:
         if not mm.in_domain(b) or mm.evaluate(b) != pm.evaluate(b):
             _fail("maximalization does not extend the original", mu=mu)
     if not candidates and not is_maximal(pm):

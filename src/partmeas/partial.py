@@ -27,10 +27,9 @@ witness extraction for sets outside the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdditivityViolationError,
@@ -163,10 +162,13 @@ def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
     """The maximal elements of ``masks``; ``{0}`` when none is nonempty.
 
     Masks are visited by size, largest first.  A proper superset of a
-    mask is larger and holds the mask's lowest atom, so the mask is
-    tested only against the larger kept sets indexed under that atom,
-    not against every kept set; sets of one size, such as a wide
-    antichain, are never compared with each other.
+    mask is larger and holds every atom of the mask, so the mask is
+    tested only against the larger kept sets indexed under one of its
+    atoms, not against every kept set; sets of one size, such as a wide
+    antichain, are never compared with each other.  The lowest atom's
+    list is used unless it is longer than the mask has atoms; then the
+    shortest list among the mask's atoms is, which costs at most as many
+    lookups as the long list would have cost comparisons.
     """
     kept: list[int] = []
     by_atom: dict[int, list[int]] = {}
@@ -176,8 +178,17 @@ def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
             break
         new = []
         for mask in level:
+            candidates = by_atom.get(mask & -mask, ())
+            if len(candidates) > size:
+                rest = mask
+                while rest and candidates:
+                    low = rest & -rest
+                    held = by_atom.get(low, ())
+                    if len(held) < len(candidates):
+                        candidates = held
+                    rest ^= low
             # a plain loop, as in in_domain
-            for g in by_atom.get(mask & -mask, ()):
+            for g in candidates:
                 if mask | g == g:
                     break
             else:
@@ -425,8 +436,7 @@ def jordan_sup(
     return total, MeasurableSet(mu.space, attaining)
 
 
-@dataclass(frozen=True)
-class JordanDecomposition:
+class JordanDecomposition(NamedTuple):
     """Positive/negative parts plus the attaining sets for each atom."""
 
     mu_plus: PositiveMeasure

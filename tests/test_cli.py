@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -448,3 +452,59 @@ def test_memory_error_while_loading_exits_1(files, monkeypatch, capsys):
     assert code == 1
     assert out["error"]["code"] == "Schema"
     assert out["error"]["detail"].endswith("JSON document is too large")
+
+
+# ---------------------------------------------------------------------------
+# each subcommand imports only the modules it runs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CORPUS_FILE = Path(__file__).resolve().parent / "corpus" / "instances" / "maximal_k5.json"
+ON_DEMAND = ("partmeas.fuzzing", "partmeas.symbolic", "dataclasses")
+
+
+def on_demand_modules_after(code):
+    """Which ON_DEMAND modules a fresh interpreter holds after ``code``.
+
+    -S keeps site-packages hooks from importing anything first.
+    """
+    probe = (
+        "import sys, contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {code}\n"
+        f"print(sorted(set({ON_DEMAND!r}) & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import partmeas.cli", []),
+        ("import partmeas; assert set(partmeas.__all__) <= set(dir(partmeas))", []),
+        (
+            "from partmeas import cli; "
+            f"assert cli.main(['validate', {str(CORPUS_FILE)!r}, '--no-banner']) == 0",
+            [],
+        ),
+        (
+            "from partmeas import cli; "
+            "assert cli.main(['example3', '--trials', '30', '--no-banner']) == 0",
+            ["dataclasses", "partmeas.symbolic"],
+        ),
+        (
+            "from partmeas import cli; "
+            "assert cli.main(['fuzz', '--trials', '1', '--max-atoms', '3', '--no-banner']) == 0",
+            ["dataclasses", "partmeas.fuzzing", "partmeas.symbolic"],
+        ),
+    ],
+)
+def test_subcommands_load_only_what_they_run(code, loaded):
+    assert on_demand_modules_after(code) == repr(loaded)

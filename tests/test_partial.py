@@ -42,6 +42,7 @@ from partmeas.errors import (
     TooLargeError,
     UnknownPointError,
 )
+from partmeas.partial import _maximal_masks
 from oracles import (
     brute_f_minus,
     brute_f_plus,
@@ -437,6 +438,21 @@ def test_domain_is_the_closure_of_the_maximal_generators(seed):
     assert [s.mask for s in pm.domain_sets()] == sorted(closure)
     for mask in range(1 << space.n_atoms):
         assert pm.in_domain(MeasurableSet(space, mask)) == (mask in closure)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maximal_masks_when_many_sets_share_an_atom(seed):
+    # many sets of two sizes all holding atom 0, few of them nested: the
+    # case where indexing a mask under its lowest atom alone is quadratic
+    rng = random.Random(seed)
+    big = [1 | sum(1 << a for a in rng.sample(range(1, 15), 7)) for _ in range(300)]
+    small = [1 | sum(1 << a for a in rng.sample(range(15, 70), 2)) for _ in range(300)]
+    held = [g & rng.getrandbits(70) | 1 for g in rng.sample(big + small, 200)]
+    masks = big + small + held + [0]
+    rng.shuffle(masks)
+    brute = {m for m in masks if not any(m != g and m | g == g for g in masks)}
+    assert _maximal_masks(masks) == brute
+    assert _maximal_masks([0, 0]) == {0}
 
 
 def test_restrict_to_rejects_sets_outside_domain():
