@@ -68,13 +68,6 @@ class Probability(AtomVector):
     def null_mask(self) -> int:
         return self.space.full_mask ^ self.nonnull_mask
 
-    def evaluate(self, a: MeasurableSet) -> ExtReal:
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to this space")
-        return self.mask_sum(a.mask)
-
-    __call__ = evaluate
-
 
 class RandomVariable(AtomVector):
     """An extended-real function, constant on atoms."""

@@ -604,7 +604,7 @@ def _prop_maximality_characterization(rng, cfg):
     for b in sets:
         if not mm.in_domain(b) or mm.evaluate(b) != pm.evaluate(b):
             _fail("maximalization does not extend the original", mu=mu)
-    if not candidates and not is_maximal(pm):
+    if (not candidates) != is_maximal(pm):
         _fail("characterization disagrees with is_maximal", mu=mu)
     for mask in range(1 << mm.space.n_atoms):
         if mm.in_domain_mask(mask):

@@ -33,7 +33,7 @@ from . import extreal
 from .density import Probability, RandomVariable
 from .errors import SchemaError
 from .measure import AtomVector, Measure
-from .partial import MaximalPartialMeasure, PartialMeasure, maximalize, validate_partial
+from .partial import MaximalPartialMeasure, PartialMeasure, validate_partial
 from .spaces import FiniteSpace, MeasurableSet, generate_algebra
 
 __all__ = [
@@ -156,15 +156,14 @@ parse_probability, probability_payload = _vector_codec(
 def partial_payload(pm: PartialMeasure) -> dict:
     sets = pm.domain_sets()
     labels = [s.labels() for s in sets]
-    # a domain set's value is its atom sum under any maximal extension;
-    # pm.evaluate would test each set against every maximal domain set
-    atoms = maximalize(pm)
+    # a domain set's value is its atom sum; pm.evaluate would test each
+    # set against every maximal domain set
     return {
         "space": space_payload(pm.space),
         "domain": [list(lab) for lab in labels],
         # a set's key is its labels joined, as MeasurableSet.key() builds it
         "values": {
-            ",".join(lab): str(atoms.mask_sum(s.mask)) for s, lab in zip(sets, labels)
+            ",".join(lab): str(pm.mask_sum(s.mask)) for s, lab in zip(sets, labels)
         },
     }
 

@@ -1,13 +1,17 @@
 """Atom-value vectors, total measures on a finite algebra, and the
 classical positive/negative split of the whole space.
 
-Every set function in the package that is determined by its atoms
-(measures, maximal partial measures, random variables) is an
-:class:`AtomVector`: a space plus one extended-real value per atom.  Set
-values are always recomputed as atom sums, so additivity cannot be
-violated by stored state.  Atom sums are exact integer sums over a
-common denominator: the finite atoms are scaled to integers once, a
-set's sum adds those integers, and each result is reduced once.
+Every set function in the package is an :class:`AtomVector`: a space
+plus one extended-real value per atom.  The kinds are measures and
+positive measures (here), maximal partial measures and partial measures
+(:mod:`partmeas.partial`), probabilities and random variables
+(:mod:`partmeas.density`).  A vector's domain is every set whose atoms
+do not carry both +inf and -inf; only a partial measure narrows it, to
+the subsets of its maximal sets.  Set values are always recomputed as
+atom sums, so additivity cannot be violated by stored state.  Atom sums
+are exact integer sums over a common denominator: the finite atoms are
+scaled to integers once, a set's sum adds those integers, and each
+result is reduced once.
 A measure adds one structural invariant: its atom vector never contains
 both +inf and -inf, which keeps every evaluation well-posed.
 """
@@ -20,6 +24,7 @@ from typing import Sequence
 from .errors import (
     IllPosedError,
     MixedInfinitiesError,
+    NotInDomainError,
     NotPositiveError,
     SpaceMismatchError,
 )
@@ -102,6 +107,26 @@ class AtomVector:
             mask ^= low
         return _ratio(total, self._denom)
 
+    def in_domain_mask(self, mask: int) -> bool:
+        """Does the set of ``mask`` avoid mixing +inf and -inf atoms?"""
+        return not (mask & self.pos_inf_mask and mask & self.neg_inf_mask)
+
+    def in_domain(self, a: MeasurableSet) -> bool:
+        if a.space != self.space:
+            raise SpaceMismatchError("set does not belong to this space")
+        return self.in_domain_mask(a.mask)
+
+    def evaluate(self, a: MeasurableSet) -> ExtReal:
+        """The atom sum of a domain set."""
+        # in_domain inlined: evaluate is the hottest call in the fuzz properties
+        if a.space != self.space:
+            raise SpaceMismatchError("set does not belong to this space")
+        if not self.in_domain_mask(a.mask):
+            raise NotInDomainError(f"{a!r} is outside the domain")
+        return self.mask_sum(a.mask)
+
+    __call__ = evaluate
+
     def nonneg_mask(self) -> int:
         """Mask of the atoms with value >= 0."""
         return sum(1 << i for i, v in enumerate(self.atom_values) if v.sign() >= 0)
@@ -142,14 +167,6 @@ class Measure(AtomVector):
             raise MixedInfinitiesError(
                 "a measure can attain at most one of +inf, -inf"
             )
-
-    def evaluate(self, a: MeasurableSet) -> ExtReal:
-        """Sum of atom values over the atoms of ``a``; always well-posed."""
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to the measure's space")
-        return self.mask_sum(a.mask)
-
-    __call__ = evaluate
 
 
 class PositiveMeasure(Measure):

@@ -7,22 +7,22 @@ exactly the measurable subsets of B).  Consequently the atoms under any
 domain set are themselves domain sets, values on atoms determine values
 everywhere in the domain by additivity, and within a single domain set
 the atom values never mix +inf with -inf.  A trace-closed domain is
-also fixed by its maximal sets, so a :class:`PartialMeasure` is stored
-as those maximal masks plus an atom vector of its determined atoms, with
-the free atoms set to 0; a domain set's value is its atom sum.  Only
+also fixed by its maximal sets, so a :class:`PartialMeasure` is an atom
+vector of its determined atoms, with the free atoms set to 0, plus the
+maximal masks of its domain; a domain set's value is its atom sum.  Only
 :meth:`PartialMeasure.domain_sets` lists the whole domain, so the
 enumeration budget (at most ENUMERATION_CAP atoms in a domain set and
 2**ENUMERATION_CAP sets in all) applies where the domain is listed or
 echoed, not at construction.
 
-A maximal partial measure is one admitting no proper extension.  On a
-finite algebra these are exactly the arbitrary atom-value vectors: the
-derived domain consists of the sets whose atoms do not carry both +inf
-and -inf, and a set outside that domain can never be adjoined, because
-additivity over its atoms would require an ill-posed sum.  This module
-implements that representation together with the positive/negative
-decomposition of maximal partial measures, its extremal property, and
-witness extraction for sets outside the domain.
+A :class:`MaximalPartialMeasure` is one admitting no proper extension:
+on a finite algebra, any atom vector with the vector's own domain, the
+sets whose atoms do not carry both +inf and -inf.  A set outside it can
+never be adjoined, as additivity over its atoms would need an ill-posed
+sum, so a partial measure is maximal exactly when its maximal sets are
+those of its vector's domain.  Both kinds live here, with the
+positive/negative decomposition of maximal partial measures, its
+extremal property, and witness extraction for sets outside the domain.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 
-class PartialMeasure:
+class PartialMeasure(AtomVector):
     """A validated partial measure with an explicit, trace-closed domain.
 
     Construct through :func:`validate_partial`, :func:`diff_measures` or
@@ -92,54 +92,56 @@ class PartialMeasure:
     and the same values are equal however they were built.
     """
 
-    __slots__ = ("space", "_maximal", "_atoms", "covered_atoms")
+    __slots__ = ("_maximal", "covered_atoms")
+
+    _kind = "partial"
 
     def __init__(
         self, space: FiniteSpace, masks: Iterable[int], atom_values: Sequence[ExtReal]
     ):
-        self.space = space
-        self._maximal = _maximal_masks(masks)
+        maximal = _maximal_masks(masks)
         covered = 0
-        for m in self._maximal:
+        for m in maximal:
             covered |= m
-        self.covered_atoms = covered
-        self._atoms = MaximalPartialMeasure(
-            space,
-            [v if covered >> i & 1 else ZERO for i, v in enumerate(atom_values)],
+        super().__init__(
+            space, [v if covered >> i & 1 else ZERO for i, v in enumerate(atom_values)]
         )
+        self._maximal = maximal
+        self.covered_atoms = covered
 
     def domain_sets(self) -> list[MeasurableSet]:
         """The domain in canonical mask order.
 
         Raises TooLargeError for a maximal set of more than
         ENUMERATION_CAP atoms, and once the domain holds more than
-        2**ENUMERATION_CAP sets.
+        2**ENUMERATION_CAP sets, counting without storing past the budget.
         """
+        budget = 1 << ENUMERATION_CAP
         closed = {0}
         for mask in sorted(self._maximal, reverse=True):
             check_enumerable(mask.bit_count(), what="domain set")
-            closed.update(iter_submasks(mask))
-            if len(closed) > 1 << ENUMERATION_CAP:
+            size = len(closed)
+            # the submasks of one mask are distinct, so the count is exact
+            for sub in iter_submasks(mask):
+                if sub not in closed:
+                    size += 1
+                    if size <= budget:
+                        closed.add(sub)
+            if size > budget:
                 raise TooLargeError(
-                    f"domain has {len(closed)} sets; "
+                    f"domain has {size} sets; "
                     f"enumeration capped at 2**{ENUMERATION_CAP}"
                 )
         return [MeasurableSet(self.space, m) for m in sorted(closed)]
 
-    def in_domain(self, a: MeasurableSet) -> bool:
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to this space")
+    def in_domain_mask(self, mask: int) -> bool:
+        """Is the set of ``mask`` a subset of some maximal domain set?"""
         # a plain loop: any() over a generator costs about four times as
         # much for the few maximal sets a domain usually has
         for g in self._maximal:
-            if a.mask | g == g:
+            if mask | g == g:
                 return True
         return False
-
-    def evaluate(self, a: MeasurableSet) -> ExtReal:
-        if not self.in_domain(a):
-            raise NotInDomainError(f"{a!r} is outside the domain")
-        return self._atoms.evaluate(a)
 
     def determined_atom_value(self, i: int) -> ExtReal:
         """Value of atom ``i``; it must lie under some domain set."""
@@ -147,12 +149,12 @@ class PartialMeasure:
             raise NotInDomainError(
                 f"atom {self.space.atom_label(i)!r} is not determined"
             )
-        return self._atoms.atom_values[i]
+        return self.atom_values[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialMeasure):
             return NotImplemented
-        return self._maximal == other._maximal and self._atoms == other._atoms
+        return self._maximal == other._maximal and super().__eq__(other)
 
     def __repr__(self) -> str:
         return f"PartialMeasure({len(self._maximal)} maximal sets on {self.space!r})"
@@ -206,30 +208,13 @@ def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
 class MaximalPartialMeasure(AtomVector):
     """A maximal partial measure: an atom-value vector, any values allowed.
 
-    The derived domain is the family of sets whose atoms do not carry
-    both +inf and -inf; the derived value is the atom sum.
+    Its domain is the vector's: the sets whose atoms do not carry both
+    +inf and -inf, each valued by its atom sum.
     """
 
     __slots__ = ()
 
     _kind = "maximal"
-
-    def in_domain_mask(self, mask: int) -> bool:
-        return not (mask & self.pos_inf_mask and mask & self.neg_inf_mask)
-
-    def in_domain(self, a: MeasurableSet) -> bool:
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to this space")
-        return self.in_domain_mask(a.mask)
-
-    def evaluate(self, a: MeasurableSet) -> ExtReal:
-        if a.space != self.space:
-            raise SpaceMismatchError("set does not belong to this space")
-        if not self.in_domain_mask(a.mask):
-            raise NotInDomainError(f"{a!r} is outside the derived domain")
-        return self.mask_sum(a.mask)
-
-    __call__ = evaluate
 
     def domain_sets(self) -> list[MeasurableSet]:
         """Every set of the derived domain, in canonical mask order."""
@@ -273,8 +258,8 @@ def validate_partial(
     if not vmap:
         raise EmptyDomainError("a partial measure needs at least one domain set")
 
-    atoms = MaximalPartialMeasure(
-        space, [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
+    pm = PartialMeasure(
+        space, vmap, [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
     )
     for mask in sorted(vmap):
         a = MeasurableSet(space, mask)
@@ -284,16 +269,16 @@ def validate_partial(
                     f"set {a.key()!r} requires atom {space.atom_label(i)!r}, "
                     "whose value is not derivable from the supplied sets"
                 )
-        if not atoms.in_domain_mask(mask):
+        if not AtomVector.in_domain_mask(pm, mask):
             raise MixedInfinitiesInDomainSetError(
                 f"atoms of {a.key()!r} carry both +inf and -inf"
             )
-        total = atoms.evaluate(a)
+        total = pm.mask_sum(mask)
         if vmap[mask] != total:
             raise AdditivityViolationError(
                 f"value {vmap[mask]} of {a.key()!r} differs from its atom sum {total}"
             )
-    return PartialMeasure(space, vmap, atoms.atom_values)
+    return pm
 
 
 def _finite_sum_table(values: Sequence[ExtReal], k: int) -> list[Fraction]:
@@ -337,7 +322,7 @@ def maximalize(
     choice is part of the signature rather than hidden.
     """
     space = pm.space
-    atom_values = list(pm._atoms.atom_values)
+    atom_values = list(pm.atom_values)
     if fill:
         label_to_atom = {space.atom_label(i): i for i in range(space.n_atoms)}
         for label, v in fill.items():
@@ -503,9 +488,7 @@ def corollary1_witness(
     a_minus ⊆ a in F- of value -inf.  Canonical choice: a_plus collects
     the atoms of a with value >= 0, a_minus those with value <= 0.
     """
-    if a.space != mu.space:
-        raise SpaceMismatchError("set does not belong to this space")
-    if mu.in_domain_mask(a.mask):
+    if mu.in_domain(a):
         raise InDomainError(f"{a!r} has a well-posed value")
     return (
         MeasurableSet(mu.space, a.mask & mu.nonneg_mask()),
@@ -546,7 +529,7 @@ def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
     and -inf: its free atoms can then be given any finite value (say 0)
     and S joins the domain with the resulting atom sum.  The stored
     vector holds exactly that choice, so S qualifies when it lies in the
-    vector's derived domain.  An empty result characterizes maximality.
+    vector's domain.  An empty result characterizes maximality.
     """
     k = pm.space.n_atoms
     check_enumerable(k)
@@ -556,13 +539,20 @@ def single_set_extensions(pm: PartialMeasure) -> list[MeasurableSet]:
     return [
         MeasurableSet(pm.space, m)
         for m in range(1 << k)
-        if m not in domain and pm._atoms.in_domain_mask(m)
+        if m not in domain and AtomVector.in_domain_mask(pm, m)
     ]
 
 
 def is_maximal(pm: PartialMeasure) -> bool:
-    """True when no single-set extension exists."""
-    return not single_set_extensions(pm)
+    """True when no single-set extension exists.
+
+    The vector's domain holds the domain and every single-set extension,
+    so ``pm`` is maximal when both have the same maximal sets.
+    """
+    full = pm.space.full_mask
+    return pm._maximal == _maximal_masks(
+        [full ^ pm.pos_inf_mask, full ^ pm.neg_inf_mask]
+    )
 
 
 def can_extend_with(
@@ -576,9 +566,7 @@ def can_extend_with(
     of value.  The remaining comparison is kept so the claim is computed
     rather than asserted.
     """
-    if s.space != mu.space:
-        raise SpaceMismatchError("set does not belong to this space")
-    if mu.in_domain_mask(s.mask):
+    if mu.in_domain(s):
         return False
     try:
         total = mu.mask_sum(s.mask)

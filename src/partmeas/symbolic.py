@@ -90,9 +90,6 @@ class HalfSet:
     def intersect(self, other: "HalfSet") -> "HalfSet":
         return self.complement().union(other.complement()).complement()
 
-    def contains(self, i: int) -> bool:
-        return (i in self.ids) == (self.kind == FINITE)
-
     def fresh_id(self) -> int:
         """Smallest index inside a cofinite half (outside a finite one)."""
         i = 0

@@ -14,9 +14,12 @@ from partmeas import (
     Measure,
     PLUS_INF,
     PositiveMeasure,
+    Probability,
     RandomVariable,
     ZERO,
+    enumerate_sets,
     hahn_decomposition,
+    restrict_to,
 )
 from partmeas import extreal
 from partmeas.errors import (
@@ -92,6 +95,38 @@ def test_evaluate_space_mismatch():
     m = PositiveMeasure.zero(SPACE4)
     with pytest.raises(SpaceMismatchError):
         m.evaluate(FiniteSpace.discrete("ab").full_set())
+
+
+MIXED = MaximalPartialMeasure(SPACE4, [E(1), PLUS_INF, MINUS_INF, ZERO])
+
+
+@pytest.mark.parametrize(
+    "x, outside",
+    [
+        (Measure(SPACE4, [E(1), E(-2), PLUS_INF, ZERO]), lambda m: False),
+        (PositiveMeasure(SPACE4, [E(1), ZERO, PLUS_INF, E(3)]), lambda m: False),
+        (MIXED, lambda m: m & 0b0110 == 0b0110),
+        (Probability(SPACE4, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0]),
+         lambda m: False),
+        (restrict_to(MIXED, [SPACE4.set_from_points(p) for p in ("ab", "cd")]),
+         lambda m: m & 0b0011 and m & 0b1100),
+    ],
+    ids=["measure", "positive", "maximal", "probability", "partial"],
+)
+def test_one_domain_rule_and_evaluate(x, outside):
+    foreign = FiniteSpace.discrete("ab").full_set()
+    for call in (x.in_domain, x.evaluate, x):
+        with pytest.raises(SpaceMismatchError):
+            call(foreign)
+    for a in enumerate_sets(SPACE4):
+        if outside(a.mask):
+            assert not x.in_domain(a)
+            for call in (x.evaluate, x):
+                with pytest.raises(NotInDomainError, match="is outside the domain$"):
+                    call(a)
+        else:
+            assert x.in_domain(a)
+            assert x(a) == x.evaluate(a) == eval_scratch(x.atom_values, a.mask)
 
 
 # Coprime and very large denominators make the common denominator and the

@@ -577,3 +577,80 @@ def test_construction_never_lists_the_domain(monkeypatch):
             TooLargeError, match=f"^domain set has {n} atoms; enumeration capped at 20$"
         ):
             pm.domain_sets()
+
+
+def test_domain_budget_stores_no_more_than_the_budget(monkeypatch):
+    # three disjoint 10-atom sets under a 2**10 budget: the second set
+    # crosses it, and the closure past the budget is counted, not stored
+    import tracemalloc
+
+    from partmeas import partial
+
+    monkeypatch.setattr(partial, "ENUMERATION_CAP", 10)
+    space = FiniteSpace.discrete([f"p{i:02d}" for i in range(30)])
+    mu = MaximalPartialMeasure(space, [ExtReal(1)] * 30)
+    blocks = [MeasurableSet(space, 0x3FF << shift) for shift in (0, 10, 20)]
+
+    too_large, fits = restrict_to(mu, blocks), restrict_to(mu, blocks[:1])
+    with pytest.raises(TooLargeError, match=r"^domain has 2047 sets; .* 2\*\*10$"):
+        too_large.domain_sets()
+    assert len(fits.domain_sets()) == 1 << 10
+
+    def peak(pm):
+        tracemalloc.start()
+        try:
+            pm.domain_sets()
+        except TooLargeError:
+            pass
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    # refusing the domain costs less than listing one that fills the budget
+    assert peak(too_large) < peak(fits)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_is_maximal_matches_single_set_extensions(seed):
+    # seeded restrictions, validations and differences, plus the
+    # restrictions to nothing and to the maximal sets of mu's domain
+    rng = random.Random(seed)
+    space = FiniteSpace.discrete("abcde"[: rng.randint(1, 5)])
+    pool = [E(rng.randint(-3, 3)), PLUS_INF, MINUS_INF, ZERO]
+    mu = MaximalPartialMeasure(space, [rng.choice(pool) for _ in range(space.n_atoms)])
+    inside = [m for m in range(1 << space.n_atoms) if mu.in_domain_mask(m)]
+    gens = [MeasurableSet(space, rng.choice(inside)) for _ in range(rng.randint(0, 3))]
+    restricted = restrict_to(mu, gens)
+    sets = restricted.domain_sets()
+    validated = validate_partial(space, sets, {s: restricted.evaluate(s) for s in sets})
+
+    def positive():
+        choices = [E(rng.randint(0, 3)), PLUS_INF]
+        return PositiveMeasure(
+            space, [rng.choice(choices) for _ in range(space.n_atoms)]
+        )
+
+    full = space.full_mask
+    whole = [full ^ mu.neg_inf_mask, full ^ mu.pos_inf_mask]
+    for pm in (restricted, validated, diff_measures(positive(), positive())):
+        assert is_maximal(pm) == (not single_set_extensions(pm))
+    assert is_maximal(restrict_to(mu, [MeasurableSet(space, m) for m in whole]))
+    assert not is_maximal(restrict_to(mu, []))
+
+
+def test_is_maximal_lists_no_set(monkeypatch):
+    from partmeas import partial
+
+    def enumerated(mask):
+        raise AssertionError("the domain was enumerated")
+
+    monkeypatch.setattr(partial, "iter_submasks", enumerated)
+    space = FiniteSpace.discrete([f"p{i:02d}" for i in range(30)])
+    full = space.full_mask
+    mu = MaximalPartialMeasure(space, [PLUS_INF, MINUS_INF] + [E(1)] * 28)
+    no_p00, no_p01 = MeasurableSet(space, full ^ 1), MeasurableSet(space, full ^ 2)
+    assert is_maximal(restrict_to(mu, [no_p00, no_p01]))
+    assert not is_maximal(restrict_to(mu, [no_p00]))
+    finite = MaximalPartialMeasure(space, [E(2)] * 30)
+    assert is_maximal(restrict_to(finite, [space.full_set()]))
+    assert not is_maximal(restrict_to(finite, [no_p00, no_p01]))
