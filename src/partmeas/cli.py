@@ -53,53 +53,63 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate", parents=[common],
                        help="validate any instance file and echo it normalized")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("maximalize", parents=[common],
                        help="extend a partial instance to a maximal one")
     p.add_argument("file")
     p.add_argument("--fill", metavar="ATOM=VALUE,...", default="",
                    help="values for free atoms, e.g. a=1/2,b=+inf")
+    p.set_defaults(handler=_cmd_maximalize)
 
     p = sub.add_parser("jordan", parents=[common],
                        help="positive/negative decomposition of a maximal instance")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_jordan)
 
     p = sub.add_parser("hahn", parents=[common],
                        help="positive/negative split of a measure or maximal instance")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_hahn)
 
     p = sub.add_parser("corollary1", parents=[common],
                        help="infinite witnesses inside a set outside the domain")
     p.add_argument("file")
     p.add_argument("--set", required=True, metavar="KEY",
                    help="comma-joined point labels of the target set")
+    p.set_defaults(handler=_cmd_corollary1)
 
     p = sub.add_parser("musxi", parents=[common],
                        help="integrate a random variable against a probability")
     p.add_argument("rv_file")
     p.add_argument("prob_file")
+    p.set_defaults(handler=_cmd_musxi)
 
     p = sub.add_parser("rn", parents=[common],
                        help="density of a maximal instance w.r.t. a probability")
     p.add_argument("file")
     p.add_argument("prob_file")
+    p.set_defaults(handler=_cmd_rn)
 
     p = sub.add_parser("esssup", parents=[common],
                        help="essential supremum of the sets given via --set")
     p.add_argument("prob_file")
     p.add_argument("--set", action="append", required=True, metavar="KEY",
                    dest="sets", help="repeatable; comma-joined point labels")
+    p.set_defaults(handler=_cmd_esssup)
 
     p = sub.add_parser("example3", parents=[common],
                        help="symbolic proof report: no positive/negative split")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10000)
+    p.set_defaults(handler=_cmd_example3)
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-atoms", type=int, default=6)
+    p.set_defaults(handler=_cmd_fuzz)
 
     return parser
 
@@ -236,20 +246,6 @@ def _cmd_fuzz(args) -> dict:
     return report
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "maximalize": _cmd_maximalize,
-    "jordan": _cmd_jordan,
-    "hahn": _cmd_hahn,
-    "corollary1": _cmd_corollary1,
-    "musxi": _cmd_musxi,
-    "rn": _cmd_rn,
-    "esssup": _cmd_esssup,
-    "example3": _cmd_example3,
-    "fuzz": _cmd_fuzz,
-}
-
-
 def _render(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -278,9 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 64
-    handler = _COMMANDS[args.command]
     try:
-        result = handler(args)
+        result = args.handler(args)
     except PartmeasError as exc:
         return _emit({"error": {"code": exc.code, "detail": str(exc)}}, args.output, 2)
     except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:

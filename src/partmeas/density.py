@@ -138,8 +138,6 @@ def rn_derivative(mu: MaximalPartialMeasure, prob: Probability) -> RandomVariabl
     any variant differing only on null atoms integrates to the same
     measure, which is the almost-sure uniqueness at finite scale.
     """
-    if mu.space != prob.space:
-        raise SpaceMismatchError("measure and probability disagree on space")
     if not is_abs_continuous(mu, prob):
         raise NotAbsContinuousError(
             "some null atom carries a nonzero value; no density exists"

@@ -585,18 +585,11 @@ def _prop_maximality_characterization(rng, cfg):
     if candidates:
         s = rng.choice(candidates)
         values = {x: pm.evaluate(x) for x in sets}
-        new_atoms = {}
-        for i in iter_bits(s.mask):
-            if pm.covered_atoms >> i & 1:
-                new_atoms[i] = pm.determined_atom_value(i)
-            else:
-                new_atoms[i] = ZERO
-        extra = {}
+        # free atoms are stored as 0, the finite choice that admits s
         for sub in iter_submasks(s.mask):
             ms = MeasurableSet(pm.space, sub)
             if ms not in values:
-                extra[ms] = extreal.sum(new_atoms[i] for i in iter_bits(sub))
-        values.update(extra)
+                values[ms] = extreal.sum(pm.atom_values[i] for i in iter_bits(sub))
         extended = validate_partial(pm.space, values.keys(), values)
         if not extended.in_domain(s):
             _fail("claimed single-set extension did not validate", mu=mu)

@@ -109,13 +109,13 @@ def parse_space(obj: Any) -> FiniteSpace:
 
 
 def _vector_codec(
-    kind: str,
     cls: type[AtomVector],
     key: str,
     parse_value: Callable[[Any, str], Any] = _parse_value,
 ) -> tuple[Callable[[Any], AtomVector], Callable[[AtomVector], dict]]:
-    """Parser and payload builder for an atom-vector kind stored under
-    ``key``, reading each atom's entry with ``parse_value``."""
+    """Parser and payload builder for the atom-vector kind of ``cls``,
+    stored under ``key``, reading each atom's entry with ``parse_value``."""
+    kind = cls._kind
 
     def parse(obj: Any) -> AtomVector:
         space = parse_space(_require(obj, "space", dict, kind))
@@ -137,16 +137,11 @@ def _vector_codec(
     return parse, payload
 
 
-parse_measure, measure_payload = _vector_codec("measure", Measure, "values")
-parse_maximal, maximal_payload = _vector_codec(
-    "maximal", MaximalPartialMeasure, "atom_values"
-)
-parse_randomvariable, randomvariable_payload = _vector_codec(
-    "randomvariable", RandomVariable, "values"
-)
+parse_measure, measure_payload = _vector_codec(Measure, "values")
+parse_maximal, maximal_payload = _vector_codec(MaximalPartialMeasure, "atom_values")
+parse_randomvariable, randomvariable_payload = _vector_codec(RandomVariable, "values")
 # probabilities are finite: "+inf" is a schema error, not a value
 parse_probability, probability_payload = _vector_codec(
-    "probability",
     Probability,
     "probs",
     partial(_parse_value, parse=extreal.parse_rational, noun="probabilities"),
@@ -208,7 +203,7 @@ def load_instance(obj: Any) -> tuple[str, Any]:
     if not isinstance(obj, dict):
         raise SchemaError("instance file must be a JSON object")
     kind = obj.get("kind")
-    if kind not in INSTANCE_KINDS:
+    if not isinstance(kind, str) or kind not in INSTANCE_KINDS:
         raise SchemaError(
             f"instance 'kind' must be one of {sorted(INSTANCE_KINDS)}, got {kind!r}"
         )

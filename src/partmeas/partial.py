@@ -143,14 +143,6 @@ class PartialMeasure(AtomVector):
                 return True
         return False
 
-    def determined_atom_value(self, i: int) -> ExtReal:
-        """Value of atom ``i``; it must lie under some domain set."""
-        if not self.covered_atoms >> i & 1:
-            raise NotInDomainError(
-                f"atom {self.space.atom_label(i)!r} is not determined"
-            )
-        return self.atom_values[i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialMeasure):
             return NotImplemented
@@ -216,15 +208,6 @@ class MaximalPartialMeasure(AtomVector):
 
     _kind = "maximal"
 
-    def domain_sets(self) -> list[MeasurableSet]:
-        """Every set of the derived domain, in canonical mask order."""
-        check_enumerable(self.space.n_atoms)
-        return [
-            MeasurableSet(self.space, m)
-            for m in range(1 << self.space.n_atoms)
-            if self.in_domain_mask(m)
-        ]
-
 
 def validate_partial(
     space: FiniteSpace,
@@ -261,14 +244,17 @@ def validate_partial(
     pm = PartialMeasure(
         space, vmap, [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
     )
+    # the supplied atoms: distinct single bits, so their sum is their union
+    given = sum(m for m in vmap if m.bit_count() == 1)
     for mask in sorted(vmap):
         a = MeasurableSet(space, mask)
-        for i in iter_bits(mask):
-            if 1 << i not in vmap:
-                raise NotTraceClosedError(
-                    f"set {a.key()!r} requires atom {space.atom_label(i)!r}, "
-                    "whose value is not derivable from the supplied sets"
-                )
+        missing = mask & ~given
+        if missing:
+            raise NotTraceClosedError(
+                f"set {a.key()!r} requires atom "
+                f"{space.atom_label((missing & -missing).bit_length() - 1)!r}, "
+                "whose value is not derivable from the supplied sets"
+            )
         if not AtomVector.in_domain_mask(pm, mask):
             raise MixedInfinitiesInDomainSetError(
                 f"atoms of {a.key()!r} carry both +inf and -inf"

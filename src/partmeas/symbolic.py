@@ -243,8 +243,6 @@ def f_plus_enumeration_oracle(c: SymbolicSet) -> bool:
     ``_FRESH_PER_HALF`` fresh indices drawn from each cofinite remainder,
     and inspects their values directly.
     """
-    if not sym_in_algebra(c):
-        raise NotInAlgebraError(f"{c!r} is outside the modelled algebra")
     if mu3(c) is SymbolicValue.UNDEFINED:
         return False
     b_pool = c.b_part.sample_ids(_FRESH_PER_HALF)

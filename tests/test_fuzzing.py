@@ -67,6 +67,29 @@ def test_run_fuzz_green_and_deterministic():
     assert all(p["trials"] == 15 for p in report1["properties"])
 
 
+def test_longer_run_reaches_the_witness_and_extension_loops(monkeypatch):
+    # the suite's other fuzz runs draw no set outside the domain, so
+    # without this one these loops of the corollary 1 and maximality
+    # properties would never run
+    calls = {"corollary1_witness": 0, "can_extend_with": 0}
+
+    def counting(name):
+        original = getattr(fuzzing, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fuzzing, name, counting(name))
+    report, counterexamples = run_fuzz(FuzzConfig(seed=1, trials=200))
+    assert report["failures"] == 0
+    assert counterexamples == []
+    assert all(calls.values()), calls
+
+
 def test_property_names_are_unique():
     names = [name for name, _ in PROPERTIES]
     assert len(names) == len(set(names))
