@@ -53,7 +53,6 @@ _EXPORTS = {
         "restrict_to",
         "single_set_extensions",
         "is_maximal",
-        "can_extend_with",
     ),
     "density": (
         "Probability",

@@ -19,7 +19,9 @@ NaN-like sentinel.
 Text encoding, shared by all file formats: finite values are "p/q" in
 lowest terms with "/1" omitted ("3/2", "-7", "0"); the infinities are
 spelled "+inf" and "-inf".  ``parse`` accepts exactly that grammar and
-``str(parse(s))`` reproduces the canonical spelling.
+``str(parse(s))`` reproduces the canonical spelling.  A value with more
+digits than the interpreter converts between int and text (4300 by
+default) cannot be written: ``str`` raises :class:`TooLargeError`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import IllPosedError
+from .errors import IllPosedError, TooLargeError
 
 __all__ = [
     "ExtReal",
@@ -98,7 +100,12 @@ class ExtReal:
             return "+inf"
         if self._kind == _NEG:
             return "-inf"
-        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+        try:
+            return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            raise TooLargeError(
+                "exact value has too many digits to write as text"
+            ) from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtReal):

@@ -27,12 +27,15 @@ from .density import (
     mu_xi,
     rn_derivative,
 )
-from .errors import IllPosedError, InvalidConfigError
+from .errors import (
+    IllPosedError,
+    InvalidConfigError,
+    MixedInfinitiesInDomainSetError,
+)
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal
 from .measure import Measure, PositiveMeasure, hahn_decomposition
 from .partial import (
     MaximalPartialMeasure,
-    can_extend_with,
     check_minimality,
     corollary1_witness,
     diff_measures,
@@ -599,13 +602,20 @@ def _prop_maximality_characterization(rng, cfg):
             _fail("maximalization does not extend the original", mu=mu)
     if (not candidates) != is_maximal(pm):
         _fail("characterization disagrees with is_maximal", mu=mu)
+    # maximal: no set outside the domain joins it, with its atoms, at any value
     for mask in range(1 << mm.space.n_atoms):
         if mm.in_domain_mask(mask):
             continue
         s = MeasurableSet(mm.space, mask)
+        atoms = {
+            MeasurableSet(mm.space, 1 << i): mm.atom_values[i] for i in iter_bits(mask)
+        }
         for v in (ZERO, ExtReal(1), PLUS_INF, MINUS_INF):
-            if can_extend_with(mm, s, v):
-                _fail("maximalization admitted a further extension", mu=mu)
+            try:
+                validate_partial(mm.space, [*atoms, s], {**atoms, s: v})
+            except MixedInfinitiesInDomainSetError:
+                continue
+            _fail("maximalization admitted a further extension", mu=mu)
 
 
 def _prop_diff_measures(rng, cfg):
@@ -772,8 +782,8 @@ def _prop_symbolic_fragment_maximality(rng, cfg):
     c = random_algebra_member(rng)
     if mu3(c) is not SymbolicValue.UNDEFINED:
         return
-    s_plus = SymbolicSet.singleton_b(c.b_part.sample_ids(1)[0])
-    s_minus = SymbolicSet.singleton_bc(c.bc_part.sample_ids(1)[0])
+    s_plus = SymbolicSet.singleton_b(c.b_part.first_id())
+    s_minus = SymbolicSet.singleton_bc(c.bc_part.first_id())
     if not s_plus.is_subset(c) or not s_minus.is_subset(c):
         _fail("infinite singletons are not inside the undefined set")
     if mu3(s_plus) is not SymbolicValue.PLUS_INFINITY:

@@ -93,16 +93,18 @@ def parse_space(obj: Any) -> FiniteSpace:
     for p in points:
         if not isinstance(p, str):
             raise SchemaError("space: points must be strings")
-    if "generators" not in obj:
-        return FiniteSpace.discrete(points)
-    gens = obj["generators"]
-    if not isinstance(gens, list) or any(not isinstance(g, list) for g in gens):
-        raise SchemaError("space: generators must be a list of point lists")
-    for g in gens:
-        for lab in g:
-            if not isinstance(lab, str):
-                raise SchemaError("space: generator entries must be strings")
+    gens = None
+    if "generators" in obj:
+        gens = obj["generators"]
+        if not isinstance(gens, list) or any(not isinstance(g, list) for g in gens):
+            raise SchemaError("space: generators must be a list of point lists")
+        for g in gens:
+            for lab in g:
+                if not isinstance(lab, str):
+                    raise SchemaError("space: generator entries must be strings")
     try:
+        if gens is None:
+            return FiniteSpace.discrete(points)
         return generate_algebra(points, gens)
     except ValueError as exc:
         raise SchemaError(f"space: {exc}") from None

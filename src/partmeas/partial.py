@@ -35,7 +35,6 @@ from .errors import (
     AdditivityViolationError,
     EmptyDomainError,
     FillConflictError,
-    IllPosedError,
     InDomainError,
     MixedInfinitiesInDomainSetError,
     NotInDomainError,
@@ -76,7 +75,6 @@ __all__ = [
     "restrict_to",
     "single_set_extensions",
     "is_maximal",
-    "can_extend_with",
 ]
 
 
@@ -540,22 +538,3 @@ def is_maximal(pm: PartialMeasure) -> bool:
         [full ^ pm.pos_inf_mask, full ^ pm.neg_inf_mask]
     )
 
-
-def can_extend_with(
-    mu: MaximalPartialMeasure, s: MeasurableSet, value: ExtReal
-) -> bool:
-    """Would adjoining ``s`` with ``value`` properly extend ``mu``?
-
-    Always False: a set already in the derived domain is no proper
-    extension, and a set outside it mixes +inf and -inf among its atoms,
-    so additivity over its atom partition is ill-posed for every choice
-    of value.  The remaining comparison is kept so the claim is computed
-    rather than asserted.
-    """
-    if mu.in_domain(s):
-        return False
-    try:
-        total = mu.mask_sum(s.mask)
-    except IllPosedError:
-        return False
-    return value == total

@@ -200,10 +200,6 @@ class MeasurableSet:
         if self.space != other.space:
             raise SpaceMismatchError("sets live on different spaces")
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def atom_indices(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.mask))
 
@@ -233,10 +229,6 @@ class MeasurableSet:
         self._check(other)
         return MeasurableSet(self.space, self.mask & other.mask)
 
-    def difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check(other)
-        return MeasurableSet(self.space, self.mask & ~other.mask)
-
     def is_subset(self, other: "MeasurableSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
@@ -244,13 +236,6 @@ class MeasurableSet:
     __invert__ = complement
     __or__ = union
     __and__ = intersect
-    __sub__ = difference
-
-    def __le__(self, other: "MeasurableSet") -> bool:
-        return self.is_subset(other)
-
-    def __lt__(self, other: "MeasurableSet") -> bool:
-        return self.is_subset(other) and self.mask != other.mask
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeasurableSet):

@@ -25,7 +25,6 @@ from partmeas import (
     Probability,
     RandomVariable,
     ZERO,
-    can_extend_with,
     check_minimality,
     corollary1_witness,
     ess_sup,
@@ -424,14 +423,20 @@ def test_criterion_9_maximalization():
             for m in range(1 << space.n_atoms)
             if not mm.in_domain_mask(m)
         ]
+        # no set outside the domain joins it, with its atoms, at any value
         for m in outside:
             s = MeasurableSet(space, m)
-            if any(
-                can_extend_with(mm, s, v)
-                for v in (ZERO, E(1), PLUS_INF, MINUS_INF)
-            ):
-                failures += 1
-                break
+            atoms = {
+                MeasurableSet(space, 1 << i): mm.atom_values[i]
+                for i in range(space.n_atoms)
+                if m >> i & 1
+            }
+            for v in (ZERO, E(1), PLUS_INF, MINUS_INF):
+                try:
+                    validate_partial(space, [*atoms, s], {**atoms, s: v})
+                    failures += 1
+                except MixedInfinitiesInDomainSetError:
+                    pass
         if outside:
             # attempt one extension for real through the validator
             s = MeasurableSet(space, rng.choice(outside))

@@ -443,6 +443,18 @@ def test_non_ascii_digits_exit_1(tmp_path, capsys):
     assert out["error"]["code"] == "Schema"
 
 
+def test_numeral_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # the detail is CPython's own text, which differs between versions
+    f = tmp_path / "maximal.json"
+    f.write_text(json.dumps({
+        "kind": "maximal",
+        "payload": {"space": {"points": ["a"]}, "atom_values": {"a": "1" * 5000}},
+    }))
+    code, out = run(capsys, "validate", str(f), "--no-banner")
+    assert code == 1
+    assert out["error"]["code"] == "Schema"
+
+
 def test_memory_error_while_loading_exits_1(files, monkeypatch, capsys):
     def exhausted(handle, **kwargs):
         raise MemoryError

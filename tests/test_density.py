@@ -174,6 +174,17 @@ def test_ess_sup_derived_example():
         assert lhs == rhs
 
 
+def test_space_mismatch_texts():
+    other = FiniteSpace.discrete("ab")
+    with pytest.raises(SpaceMismatchError, match="^family member on a different space$"):
+        ess_sup([other.full_set()], UNIFORM4)
+    mu = MaximalPartialMeasure(other, [ZERO, ZERO])
+    with pytest.raises(
+        SpaceMismatchError, match="^measure and probability disagree on space$"
+    ):
+        is_abs_continuous(mu, UNIFORM4)
+
+
 def test_ess_sup_empty_family():
     with pytest.raises(EmptyFamilyError):
         ess_sup([], UNIFORM4)

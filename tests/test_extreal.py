@@ -30,6 +30,24 @@ def test_add_examples():
         E(1) + 1
 
 
+def test_errors_and_repr():
+    with pytest.raises(ValueError, match=r"^\+inf has no finite value$"):
+        PLUS_INF.as_fraction()
+    with pytest.raises(TypeError, match="^ExtReal required, got int$"):
+        extreal.sum([ZERO, 1])
+    assert repr(E(Fraction(-3, 2))) == "ExtReal('-3/2')"
+    assert repr(MINUS_INF) == "ExtReal('-inf')"
+
+
+def test_no_mixing_with_int():
+    # ExtReal returns NotImplemented, so Python falls back or raises
+    assert E(1) != 1 and not E(1) == 1
+    for op in (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(E(1), 1)
+
+
 def test_sum_examples():
     assert extreal.sum([]) == E(0)
     assert extreal.sum([E(Fraction(3, 2)), E(-2), PLUS_INF]) == PLUS_INF

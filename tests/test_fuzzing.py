@@ -8,7 +8,7 @@ from partmeas import (
     fuzzing,
     jsonio,
 )
-from partmeas.errors import InvalidConfigError
+from partmeas.errors import InvalidConfigError, MixedInfinitiesInDomainSetError
 from partmeas.fuzzing import (
     MAX_FUZZ_TRIALS,
     FuzzConfig,
@@ -71,23 +71,45 @@ def test_longer_run_reaches_the_witness_and_extension_loops(monkeypatch):
     # the suite's other fuzz runs draw no set outside the domain, so
     # without this one these loops of the corollary 1 and maximality
     # properties would never run
-    calls = {"corollary1_witness": 0, "can_extend_with": 0}
+    calls = {"corollary1_witness": 0, "refused extensions": 0}
+    witness = fuzzing.corollary1_witness
+    validate = fuzzing.validate_partial
 
-    def counting(name):
-        original = getattr(fuzzing, name)
+    def counting_witness(*args):
+        calls["corollary1_witness"] += 1
+        return witness(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def counting_refusals(*args):
+        try:
+            return validate(*args)
+        except MixedInfinitiesInDomainSetError:
+            calls["refused extensions"] += 1
+            raise
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(fuzzing, name, counting(name))
+    monkeypatch.setattr(fuzzing, "corollary1_witness", counting_witness)
+    monkeypatch.setattr(fuzzing, "validate_partial", counting_refusals)
     report, counterexamples = run_fuzz(FuzzConfig(seed=1, trials=200))
     assert report["failures"] == 0
     assert counterexamples == []
     assert all(calls.values()), calls
+
+
+def test_a_wrong_library_answer_fails_its_properties(monkeypatch):
+    # the real properties through _fail: is_maximal answers the opposite
+    is_maximal = fuzzing.is_maximal
+    monkeypatch.setattr(fuzzing, "is_maximal", lambda pm: not is_maximal(pm))
+    report, counterexamples = run_fuzz(FuzzConfig(seed=1, trials=3))
+    failing = {p["name"]: p["failures"] for p in report["properties"] if p["failures"]}
+    assert failing == {
+        "maximality_characterization": 3,
+        "difference_of_positive_measures": 3,
+    }
+    first, second = counterexamples
+    assert first["detail"] == "characterization disagrees with is_maximal"
+    kind, mu = jsonio.load_instance(first["instance"]["mu"])
+    assert kind == "maximal" and isinstance(mu, MaximalPartialMeasure)
+    assert second["detail"] == "difference maximality criterion failed"
+    assert second["instance"] == {}
 
 
 def test_property_names_are_unique():

@@ -153,3 +153,10 @@ def test_instance_envelope():
 def test_instance_envelope_rejects(bad):
     with pytest.raises(SchemaError):
         jsonio.load_instance(bad)
+
+
+def test_direct_call_schema_texts():
+    with pytest.raises(SchemaError, match="^space: expected an object$"):
+        jsonio.parse_space([])
+    with pytest.raises(SchemaError, match="^unknown instance kind 'nope'$"):
+        jsonio.wrap_instance("nope", None)

@@ -9,10 +9,10 @@ from partmeas import (
     MINUS_INF,
     MeasurableSet,
     MaximalPartialMeasure,
+    Measure,
     PLUS_INF,
     PositiveMeasure,
     ZERO,
-    can_extend_with,
     check_minimality,
     corollary1_witness,
     diff_measures,
@@ -38,7 +38,10 @@ from partmeas.errors import (
     InDomainError,
     MixedInfinitiesInDomainSetError,
     NotInDomainError,
+    NotPositiveError,
     NotTraceClosedError,
+    SchemaError,
+    SpaceMismatchError,
     TooLargeError,
     UnknownPointError,
 )
@@ -455,18 +458,62 @@ def test_maximal_masks_when_many_sets_share_an_atom(seed):
     assert _maximal_masks([0, 0]) == {0}
 
 
+OTHER = FiniteSpace.discrete("ab")
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: validate_partial(SPACE4, [OTHER.empty_set()], {}),
+         SpaceMismatchError, "domain set on a different space"),
+        (lambda: validate_partial(SPACE4, [], {OTHER.empty_set(): ZERO}),
+         SpaceMismatchError, "valued set on a different space"),
+        (lambda: validate_partial(SPACE4, [SPACE4.empty_set()], {SPACE4.empty_set(): 0}),
+         TypeError, "ExtReal required, got int"),
+        (lambda: validate_partial(SPACE4, [SPACE4.empty_set()], {}),
+         SchemaError, "domain and values must describe the same sets"),
+        (lambda: diff_measures(Measure(SPACE4, [ZERO] * 4), PositiveMeasure.zero(SPACE4)),
+         NotPositiveError, "diff_measures requires two positive measures"),
+        (lambda: diff_measures(PositiveMeasure.zero(SPACE4), PositiveMeasure.zero(OTHER)),
+         SpaceMismatchError, "measures live on different spaces"),
+        (lambda: jordan_sup(MIXED, SPACE4.full_set(), "up"),
+         ValueError, "side must be 'plus' or 'minus', got 'up'"),
+        (lambda: jordan_sup(MIXED, OTHER.full_set(), "plus"),
+         SpaceMismatchError, "set does not belong to this space"),
+        (lambda: check_minimality(MIXED, PositiveMeasure.zero(OTHER), "plus"),
+         SpaceMismatchError, "candidate lives on a different space"),
+        (lambda: restrict_to(MIXED, [OTHER.empty_set()]),
+         SpaceMismatchError, "generator on a different space"),
+    ],
+)
+def test_error_branches(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_partial_measure_repr_and_equality():
+    pm = restrict_to(MIXED, sets_of(SPACE4, "ab", "c"))
+    assert repr(pm) == "PartialMeasure(2 maximal sets on FiniteSpace({a}|{b}|{c}|{d}))"
+    assert pm != MaximalPartialMeasure(SPACE4, pm.atom_values)
+
+
 def test_restrict_to_rejects_sets_outside_domain():
     with pytest.raises(NotInDomainError):
         restrict_to(MIXED, [SPACE4.set_from_points(["c", "d"])])
 
 
-def test_can_extend_with_is_always_false_on_maximal():
+def test_no_set_outside_the_domain_can_join_a_maximal():
     for mask in range(16):
         if MIXED.in_domain_mask(mask):
             continue
         s = MeasurableSet(SPACE4, mask)
+        atoms = {
+            SPACE4.atom_set(i): MIXED.atom_values[i] for i in range(4) if mask >> i & 1
+        }
         for v in (ZERO, E(1), PLUS_INF, MINUS_INF):
-            assert not can_extend_with(MIXED, s, v)
+            with pytest.raises(MixedInfinitiesInDomainSetError):
+                validate_partial(SPACE4, [*atoms, s], {**atoms, s: v})
 
 
 def test_single_set_extension_really_validates():

@@ -48,6 +48,39 @@ def test_duplicate_points_rejected():
         FiniteSpace.discrete(["a", "a"])
 
 
+SPACE4 = FiniteSpace.discrete("abcd")
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: FiniteSpace(["a", 1], [1, 2]),
+         TypeError, "point labels must be strings, got 1"),
+        (lambda: FiniteSpace(["a"], [0, 1]), ValueError, "empty atom"),
+        (lambda: FiniteSpace(["a", "b"], [3, 1]), ValueError, "atoms overlap"),
+        (lambda: FiniteSpace(["a"], [3]),
+         ValueError, "atom mentions an unknown point index"),
+        (lambda: FiniteSpace(["a", "b"], [1]), ValueError, "atoms do not cover all points"),
+        (lambda: SPACE4.atom_set(4), IndexError, "no atom 4"),
+        (lambda: MeasurableSet(SPACE4, 16), ValueError, "atom mask 16 out of range"),
+        (lambda: SPACE4.full_set().union(3), TypeError, "MeasurableSet required, got int"),
+        (lambda: generate_algebra(["a", "a"]), ValueError, "duplicate point labels"),
+        (lambda: trace_algebra(SPACE4, FiniteSpace.discrete("ab").full_set()),
+         SpaceMismatchError, "set does not belong to this space"),
+    ],
+)
+def test_error_branches(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_repr_and_equality_with_other_types():
+    space = generate_algebra(list("abc"), [["a", "c"]])
+    assert repr(space) == "FiniteSpace({a,c}|{b})"
+    assert space != "abc" and space.full_set() != space.full_mask
+
+
 def test_boolean_operation_examples():
     space = FiniteSpace.discrete("abcd")
     empty = space.empty_set()
