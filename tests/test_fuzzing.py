@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from partmeas import (
@@ -42,6 +45,26 @@ def test_instance_stream_is_deterministic():
     # different trials do vary
     instances = {generate_random_instance(cfg, t)[0].atom_values for t in range(10)}
     assert len(instances) > 1
+
+
+# The sha256 of every atom value the seeded builders draw for seeds
+# 0-199.  A faster builder must draw exactly the same values: the fuzz
+# report holds only failure counts, so it cannot show a changed stream.
+_STREAM_SHA256 = "c9967980be4ca330b16f0f207e198227b0d6b567d03801b1d9413d1542f7aff3"
+
+
+def test_seeded_builders_draw_a_fixed_stream():
+    h = hashlib.sha256()
+    for seed in range(200):
+        rng = random.Random(seed)
+        cfg = FuzzConfig(seed=seed)
+        mu = fuzzing._random_maximal(rng, cfg)
+        m = fuzzing._random_total_measure(rng, mu.space)
+        pos = fuzzing._random_positive_measure(rng, mu.space)
+        inst, prob = generate_random_instance(cfg, seed)
+        for vec in (mu, m, pos, inst, prob):
+            h.update((" ".join(str(v) for v in vec.atom_values) + "\n").encode())
+    assert h.hexdigest() == _STREAM_SHA256
 
 
 def test_infinite_pool_produces_restricted_domains():
@@ -110,6 +133,32 @@ def test_a_wrong_library_answer_fails_its_properties(monkeypatch):
     assert kind == "maximal" and isinstance(mu, MaximalPartialMeasure)
     assert second["detail"] == "difference maximality criterion failed"
     assert second["instance"] == {}
+
+
+def test_a_wrong_set_value_fails_additivity(monkeypatch):
+    # a measure that is 1 too large on every set of two or more atoms is
+    # not additive, and the additivity property must say so on every
+    # trial.  An infinite value would absorb the 1 (trial 2 draws
+    # a=0, b=-inf, c=-inf), so there the wrong value is 1 itself.
+    class OffByOne(fuzzing.Measure):
+        __slots__ = ()
+
+        def evaluate(self, a):
+            v = super().evaluate(a)
+            if not a.mask & (a.mask - 1):
+                return v
+            return v + ExtReal(1) if v.is_finite else ExtReal(1)
+
+    monkeypatch.setattr(fuzzing, "Measure", OffByOne)
+    report, counterexamples = run_fuzz(FuzzConfig(seed=1, trials=3))
+    failures = {p["name"]: p["failures"] for p in report["properties"]}
+    assert failures["measure_additivity_and_monotonicity"] == 3
+    (detail,) = [
+        c["detail"]
+        for c in counterexamples
+        if c["property"] == "measure_additivity_and_monotonicity"
+    ]
+    assert detail.startswith("additivity failed on")
 
 
 def test_property_names_are_unique():
