@@ -72,7 +72,7 @@ class FiniteSpace:
     is canonical, so value equality of spaces is decidable.
     """
 
-    __slots__ = ("points", "atoms", "_index", "_atom_of", "_hash")
+    __slots__ = ("points", "atoms", "full_mask", "_index", "_atom_of", "_hash")
 
     def __init__(self, points: Sequence[str], atoms: Iterable[int]):
         pts = tuple(points)
@@ -103,6 +103,7 @@ class FiniteSpace:
             raise ValueError("atoms do not cover all points")
         self.points = pts
         self.atoms = tuple(blocks)
+        self.full_mask = (1 << len(blocks)) - 1
         self._index = {p: i for i, p in enumerate(pts)}
         self._atom_of = tuple(atom_of)
         self._hash = hash((pts, self.atoms))
@@ -119,10 +120,6 @@ class FiniteSpace:
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.atoms)) - 1
 
     def atom_points(self, i: int) -> tuple[str, ...]:
         return tuple(self.points[j] for j in iter_bits(self.atoms[i]))
@@ -171,6 +168,8 @@ class FiniteSpace:
         return MeasurableSet(self, amask)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         return self.points == other.points and self.atoms == other.atoms

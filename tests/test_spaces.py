@@ -81,6 +81,29 @@ def test_repr_and_equality_with_other_types():
     assert space != "abc" and space.full_set() != space.full_mask
 
 
+def test_full_mask():
+    assert FiniteSpace.discrete("abcd").full_mask == 0b1111
+    # one bit per atom, not per point
+    assert generate_algebra(list("abcd"), [["a", "c"]]).full_mask == 0b11
+    assert generate_algebra(list("abc")).full_mask == 0b1
+    assert FiniteSpace.discrete("").full_mask == 0
+    assert generate_algebra([]).full_mask == 0
+
+
+def test_equality_by_value():
+    space = generate_algebra(list("abc"), [["a", "c"]])
+    twin = FiniteSpace(("a", "b", "c"), [0b010, 0b101])
+    assert twin is not space
+    assert twin == space and hash(twin) == hash(space)
+    assert space == space
+    assert FiniteSpace.discrete("ab") == FiniteSpace.discrete("ab")
+    # same atoms over other points, and other atoms over the same points
+    assert space != generate_algebra(list("abd"), [["a", "d"]])
+    assert space != FiniteSpace.discrete("abc")
+    assert space != generate_algebra(list("abc"), [["a", "b"]])
+    assert (space == 1) is False and (space != 1) is True
+
+
 def test_boolean_operation_examples():
     space = FiniteSpace.discrete("abcd")
     empty = space.empty_set()
