@@ -27,7 +27,6 @@ default) cannot be written: ``str`` raises :class:`TooLargeError`.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -49,9 +48,6 @@ Rational = Union[int, Fraction]
 # Kind markers are ordered so that plain integer comparison of kinds gives
 # the total order -inf < finite < +inf.
 _NEG, _FIN, _POS = -1, 0, 1
-
-# the prime modulus of the hash of Python's numeric types
-_MODULUS = sys.hash_info.modulus
 
 # ASCII digits only: a bare \d matches every Unicode decimal digit
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
@@ -122,20 +118,10 @@ class ExtReal:
 
     def __hash__(self) -> int:
         # the hash of (kind, value as a Fraction): the iteration order of
-        # a set of values must not depend on how a value is stored.  A
-        # Fraction's hash is computed here from the int pair by the rule
-        # for hashing numeric types in the Python documentation; hashing
-        # it as an int inside the tuple maps -1 to -2 as that rule does.
+        # a set of values must not depend on how a value is stored
         if self._kind != _FIN:
             return hash((self._kind, None))
-        n, d = self._n, self._d
-        if d == 1:
-            return hash((_FIN, n))
-        if d % _MODULUS:
-            h = abs(n) % _MODULUS * pow(d, -1, _MODULUS) % _MODULUS
-        else:  # d has no inverse modulo the hash modulus
-            h = sys.hash_info.inf
-        return hash((_FIN, h if n >= 0 else -h))
+        return hash((_FIN, Fraction(self._n, self._d)))
 
     # Finite comparisons cross-multiply: with positive denominators,
     # a/b < c/d exactly when a*d < c*b.

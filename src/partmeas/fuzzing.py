@@ -367,14 +367,13 @@ def _prop_measure_additivity(rng, cfg):
     m = _random_total_measure(rng, space)
     k = space.n_atoms
     # every set is evaluated once; each disjoint pair compares those values
-    sets = [MeasurableSet(space, mask) for mask in range(1 << k)]
-    values = [m.evaluate(a) for a in sets]
+    values = [m.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
     for mask, v in enumerate(values):
         for sub in iter_submasks(space.full_mask ^ mask):
             if values[mask | sub] != v + values[sub]:
                 _fail(
-                    f"additivity failed on {sets[mask].key()!r}"
-                    f" and {sets[sub].key()!r}"
+                    f"additivity failed on {MeasurableSet(space, mask).key()!r}"
+                    f" and {MeasurableSet(space, sub).key()!r}"
                 )
     if PLUS_INF in values and MINUS_INF in values:
         _fail("a measure attained both +inf and -inf")

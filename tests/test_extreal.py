@@ -1,7 +1,6 @@
 import math
 import operator
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -223,18 +222,7 @@ def test_arithmetic_matches_fraction(a, b):
     assert extreal.parse(str(x)) == x
 
 
-# Numerators and denominators at and around the hash modulus P, where
-# the rule for hashing numeric types has its edge cases.
-P = sys.hash_info.modulus
-near_modulus = st.sampled_from([2, P - 1, P, P + 1, P + 2, 2 * P, 3 * P + 5])
-near_modulus_values = st.builds(
-    Fraction,
-    st.one_of(huge, near_modulus, near_modulus.map(operator.neg)),
-    st.one_of(st.integers(min_value=1, max_value=10 ** 60), near_modulus),
-)
-
-
-@given(st.one_of(oracle_values, near_modulus_values), oracle_values)
+@given(oracle_values, oracle_values)
 def test_hash_follows_value(a, b):
     x = ext(a)
     # the hash is that of (kind, value as a Fraction), None at +-inf
@@ -245,17 +233,6 @@ def test_hash_follows_value(a, b):
         y = ext(b)
         assert (x + y) - y == x
         assert hash((x + y) - y) == hash(x)
-
-
-def test_hash_edge_cases():
-    # a denominator divisible by P has no inverse modulo P, and a hash
-    # that comes out as -1 is reported as -2
-    assert hash(Fraction(1, P)) == sys.hash_info.inf
-    assert hash(Fraction(-(P + 2), 2)) == -2
-    for q in (Fraction(1, P), Fraction(-1, P), Fraction(-(P + 2), 2), Fraction(-1)):
-        assert hash(ExtReal(q)) == hash((0, q))
-    assert hash(PLUS_INF) == hash((1, None))
-    assert hash(MINUS_INF) == hash((-1, None))
 
 
 def test_equal_values_hash_alike():
