@@ -67,6 +67,35 @@ def test_seeded_builders_draw_a_fixed_stream():
     assert h.hexdigest() == _STREAM_SHA256
 
 
+# The sha256 of the generator state after every trial of every property
+# in run_fuzz(FuzzConfig(seed=1, trials=30)).  The builder pin above does
+# not see a draw made inside a property or a change to the reseeding;
+# this one sees both.
+_WHOLE_STREAM_SHA256 = (
+    "884db93892d00fb0bc4e5391e9e8a8e4ff31c2abe84c82209fa882f9021f0914"
+)
+
+
+def test_every_property_draws_a_fixed_stream(monkeypatch):
+    h = hashlib.sha256()
+
+    def hashing(fn):
+        def wrapped(rng, cfg):
+            try:
+                return fn(rng, cfg)
+            finally:
+                h.update(repr(rng.getstate()).encode())
+
+        return wrapped
+
+    monkeypatch.setattr(
+        fuzzing, "PROPERTIES", [(name, hashing(fn)) for name, fn in PROPERTIES]
+    )
+    report, _ = run_fuzz(FuzzConfig(seed=1, trials=30))
+    assert report["failures"] == 0
+    assert h.hexdigest() == _WHOLE_STREAM_SHA256
+
+
 def test_infinite_pool_produces_restricted_domains():
     cfg = FuzzConfig(seed=3, trials=1)
     restricted = 0
