@@ -6,6 +6,15 @@ global state, so trials could run concurrently without changing any
 result.  Generated values favour small rationals so counterexamples stay
 readable.
 
+Bounded integer draws go through :func:`_below`, which reproduces the
+``getrandbits`` rejection sampling of ``Random.randrange`` draw for draw,
+and value kinds are one ``random()`` compared the way ``Random.choices``
+bisects it, so the streams are those of the ``random`` calls they
+replace.  ``tests/test_fuzzing.py`` guards this with
+``test_seeded_builders_draw_a_fixed_stream`` (every value the builders
+draw) and ``test_every_property_draws_a_fixed_stream`` (the generator
+state after every trial of every property).
+
 Each property replays one invariant of the package on random instances
 and raises :class:`PropertyViolation` with a serialized counterexample
 when it fails.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NoReturn
 
 from . import extreal, jsonio
@@ -81,16 +91,16 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _LETTERS = "abcdefghijklmnopqrst"
 
-# the kinds of value drawn for an atom with their weights, the chance
-# that a generated probability makes an atom null, and the chance that a
-# generated positive measure puts +inf on an atom
-_VALUE_KINDS = ("finite", "+inf", "-inf")
-_VALUE_WEIGHTS = (6, 1, 1)
+# the chance that a generated probability makes an atom null, and the
+# chance that a generated positive measure puts +inf on an atom
 _NULL_ATOM_CHANCE = 0.25
 _POSITIVE_INF_CHANCE = 0.15
+# a generated probability's weights are p/q with p, q in 1..8, scaled to
+# ints over the lcm of every possible q
+_WEIGHT_DENOM = lcm(*range(1, 9))
 
 # The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
-# the default, about 50 s at max_atoms=6 on a 2-CPU VM.
+# the default, about 35 s at max_atoms=6 on a 2-CPU VM.
 MAX_FUZZ_TRIALS = 10_000
 
 
@@ -114,6 +124,13 @@ def _mix64(*parts: int) -> int:
     return x
 
 
+def _int_between(value: object, lo: int, hi: int) -> bool:
+    # a bool is an int to isinstance, but never a count or a seed
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+    )
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     seed: int = 0
@@ -121,13 +138,13 @@ class FuzzConfig:
     max_atoms: int = 6
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+        if not _int_between(self.seed, 0, _MASK64):
             raise InvalidConfigError("seed must be a 64-bit unsigned integer")
-        if not 1 <= self.trials <= MAX_FUZZ_TRIALS:
+        if not _int_between(self.trials, 1, MAX_FUZZ_TRIALS):
             raise InvalidConfigError(
                 f"trials must be between 1 and {MAX_FUZZ_TRIALS}"
             )
-        if not 1 <= self.max_atoms <= ENUMERATION_CAP:
+        if not _int_between(self.max_atoms, 1, ENUMERATION_CAP):
             raise InvalidConfigError(
                 f"max_atoms must be between 1 and {ENUMERATION_CAP}"
             )
@@ -143,21 +160,43 @@ class PropertyViolation(Exception):
 # random builders
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), the value and the draws of ``rng.randrange(n)``.
+
+    This is the rejection sampling of ``Random._randbelow_with_getrandbits``
+    (the same on Python 3.10-3.13): draw ``n.bit_length()`` bits until the
+    result is below n.  Calling ``getrandbits`` directly skips
+    ``randint``/``randrange``/``choice``'s argument handling.
+    """
+    if n <= 0:
+        # getrandbits(0) is always 0, so the loop below would never end
+        raise ValueError("empty range for a draw")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_finite(rng: random.Random) -> ExtReal:
-    return extreal._ratio(rng.randint(-8, 8), rng.randint(1, 8))
+    return extreal._ratio(_below(rng, 17) - 8, _below(rng, 8) + 1)
 
 
 def _random_value(rng: random.Random) -> ExtReal:
-    token = rng.choices(_VALUE_KINDS, weights=_VALUE_WEIGHTS)[0]
-    if token == "+inf":
+    # finite, +inf and -inf in the ratio 6:1:1: rng.choices with those
+    # weights bisects random() * 8.0 against the running sums 6, 7, 8,
+    # and this is that draw and that bisection
+    x = rng.random() * 8.0
+    if x < 6.0:
+        return _random_finite(rng)
+    if x < 7.0:
         return PLUS_INF
-    if token == "-inf":
-        return MINUS_INF
-    return _random_finite(rng)
+    return MINUS_INF
 
 
 def _random_space(rng: random.Random, max_atoms: int) -> FiniteSpace:
-    return _DISCRETE_SPACES[rng.randint(1, max_atoms) - 1]
+    return _DISCRETE_SPACES[_below(rng, max_atoms)]
 
 
 def _random_maximal(
@@ -172,7 +211,7 @@ def _random_maximal(
 
 def _random_total_measure(rng: random.Random, space: FiniteSpace) -> Measure:
     # a total measure may use only one of the infinities
-    sign = rng.choice((1, -1))
+    sign = (1, -1)[_below(rng, 2)]
     vals = []
     for _ in range(space.n_atoms):
         v = _random_value(rng)
@@ -190,23 +229,22 @@ def _random_positive_measure(
         if rng.random() < _POSITIVE_INF_CHANCE:
             vals.append(PLUS_INF)
         else:
-            vals.append(extreal._ratio(rng.randint(0, 8), rng.randint(1, 8)))
+            vals.append(extreal._ratio(_below(rng, 9), _below(rng, 8) + 1))
     return PositiveMeasure(space, vals)
 
 
 def _random_probability(rng: random.Random, space: FiniteSpace) -> Probability:
-    weights = []
+    weights = []  # each atom's weight times _WEIGHT_DENOM
     for _ in range(space.n_atoms):
         if rng.random() < _NULL_ATOM_CHANCE:
-            weights.append(Fraction(0))
+            weights.append(0)
         else:
-            weights.append(Fraction(rng.randint(1, 8), rng.randint(1, 8)))
+            p = _below(rng, 8) + 1
+            weights.append(p * (_WEIGHT_DENOM // (_below(rng, 8) + 1)))
     if not any(weights):
-        weights[rng.randrange(space.n_atoms)] = Fraction(1)
-    total = Fraction(0)
-    for w in weights:
-        total += w
-    return Probability(space, [w / total for w in weights])
+        weights[_below(rng, space.n_atoms)] = _WEIGHT_DENOM
+    total = sum(weights)
+    return Probability(space, [Fraction(w, total) for w in weights])
 
 
 def _random_ac_pair(
@@ -249,7 +287,7 @@ def _signed_throughout(table: list[ExtReal | None], mask: int, sign: int) -> boo
 
 
 def _prop_sum_invariance(rng, cfg):
-    xs = [_random_value(rng) for _ in range(rng.randint(0, 8))]
+    xs = [_random_value(rng) for _ in range(_below(rng, 9))]
     has_pos = any(v == PLUS_INF for v in xs)
     has_neg = any(v == MINUS_INF for v in xs)
     try:
@@ -271,7 +309,7 @@ def _prop_sum_invariance(rng, cfg):
             return ZERO
         if len(items) == 1:
             return items[0]
-        cut = rng.randint(1, len(items) - 1)
+        cut = _below(rng, len(items) - 1) + 1
         return fold(items[:cut]) + fold(items[cut:])
 
     if fold(xs) != total:
@@ -312,10 +350,10 @@ def _prop_encoding_roundtrip(rng, cfg):
 
 
 def _random_generated_space(rng) -> tuple[FiniteSpace, list[str], list[list[str]]]:
-    n = rng.randint(1, 6)
+    n = _below(rng, 6) + 1
     points = list(_LETTERS[:n])
     gens = [
-        rng.sample(points, rng.randint(0, n)) for _ in range(rng.randint(0, 3))
+        rng.sample(points, _below(rng, n + 1)) for _ in range(_below(rng, 4))
     ]
     return generate_algebra(points, gens), points, gens
 
@@ -336,7 +374,7 @@ def _prop_algebra_generation(rng, cfg):
 def _prop_trace_and_demorgan(rng, cfg):
     space, _, _ = _random_generated_space(rng)
     k = space.n_atoms
-    b = MeasurableSet(space, rng.randrange(1 << k))
+    b = MeasurableSet(space, _below(rng, 1 << k))
     traced = trace_algebra(space, b)
     if traced.n_atoms != len(b.atom_indices()):
         _fail("trace atom count differs from the atoms inside the set")
@@ -350,8 +388,8 @@ def _prop_trace_and_demorgan(rng, cfg):
         _fail("trace atoms are not exactly the original atoms inside the set")
     if trace_algebra(space, space.full_set()) != space:
         _fail("trace over the whole space changed the space")
-    x = MeasurableSet(space, rng.randrange(1 << k))
-    y = MeasurableSet(space, rng.randrange(1 << k))
+    x = MeasurableSet(space, _below(rng, 1 << k))
+    y = MeasurableSet(space, _below(rng, 1 << k))
     if (x | y).complement() != x.complement() & y.complement():
         _fail("De Morgan failed for union")
     if (x & y).complement() != x.complement() | y.complement():
@@ -380,7 +418,7 @@ def _prop_measure_additivity(rng, cfg):
     pos = _random_positive_measure(rng, space)
     for mask in range(1 << k):
         bigger = MeasurableSet(space, mask)
-        smaller = MeasurableSet(space, mask & rng.randrange(1 << k))
+        smaller = MeasurableSet(space, mask & _below(rng, 1 << k))
         if not pos.evaluate(smaller) <= pos.evaluate(bigger):
             _fail("positive measure is not monotone")
 
@@ -406,7 +444,8 @@ def _random_domain_generators(rng, mu) -> list[MeasurableSet]:
     k = mu.space.n_atoms
     masks = [m for m in range(1 << k) if mu.in_domain_mask(m)]
     return [
-        MeasurableSet(mu.space, rng.choice(masks)) for _ in range(rng.randint(0, 3))
+        MeasurableSet(mu.space, masks[_below(rng, len(masks))])
+        for _ in range(_below(rng, 4))
     ]
 
 
@@ -435,13 +474,13 @@ def _prop_disjoint_family_sums(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = value_table(mu)
     fp = [m for m in range(len(table)) if _signed_throughout(table, m, 1)]
-    u = rng.choice(fp)
+    u = fp[_below(rng, len(fp))]
 
     def random_partition() -> list[int]:
-        nblocks = rng.randint(1, 3)
+        nblocks = _below(rng, 3) + 1
         blocks = [0] * nblocks
         for i in iter_bits(u):
-            blocks[rng.randrange(nblocks)] |= 1 << i
+            blocks[_below(rng, nblocks)] |= 1 << i
         return blocks
 
     fam1 = random_partition()
@@ -456,7 +495,7 @@ def _prop_union_closure(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = value_table(mu)
     fp = {m for m in range(len(table)) if _signed_throughout(table, m, 1)}
-    members = rng.sample(sorted(fp), min(len(fp), rng.randint(1, 4)))
+    members = rng.sample(sorted(fp), min(len(fp), _below(rng, 4) + 1))
     union = 0
     for m in members:
         union |= m
@@ -497,8 +536,8 @@ def _prop_jordan_sup_additive(rng, cfg):
     k = mu.space.n_atoms
     d = jordan_decompose_detailed(mu)
     tp = value_table(d.mu_plus)
-    a_mask = rng.randrange(1 << k)
-    b_mask = rng.randrange(1 << k) & ~a_mask
+    a_mask = _below(rng, 1 << k)
+    b_mask = _below(rng, 1 << k) & ~a_mask
     a = MeasurableSet(mu.space, a_mask)
     b = MeasurableSet(mu.space, b_mask)
     va, _ = jordan_sup(mu, a, "plus")
@@ -536,7 +575,7 @@ def _prop_minimality_rejects(rng, cfg):
     if not positive_atoms:
         return
     d = jordan_decompose_detailed(mu)
-    i = rng.choice(positive_atoms)
+    i = positive_atoms[_below(rng, len(positive_atoms))]
     vals = list(d.mu_plus.atom_values)
     vals[i] = ExtReal(vals[i].as_fraction() / 2) if vals[i].is_finite else ExtReal(1)
     nu = PositiveMeasure(mu.space, vals)
@@ -577,8 +616,8 @@ def _prop_f_plus_downward(rng, cfg):
     fp = {s.mask for s in f_plus(mu)}
     if not fp:
         _fail("the nonnegative class lost the empty set", mu=mu)
-    f = rng.choice(sorted(fp))
-    sub = rng.randrange(1 << mu.space.n_atoms) & f
+    f = sorted(fp)[_below(rng, len(fp))]
+    sub = _below(rng, 1 << mu.space.n_atoms) & f
     if sub not in fp:
         _fail("the nonnegative class is not closed under subsets", mu=mu)
 
@@ -590,7 +629,7 @@ def _prop_maximality_characterization(rng, cfg):
     candidates = single_set_extensions(pm)
     sets = pm.domain_sets()
     if candidates:
-        s = rng.choice(candidates)
+        s = candidates[_below(rng, len(candidates))]
         values = {x: pm.evaluate(x) for x in sets}
         # free atoms are stored as 0, the finite choice that admits s
         for sub in iter_submasks(s.mask):
@@ -688,7 +727,7 @@ def _prop_rn_round_trip(rng, cfg):
         if mu_xi(eta, prob) != mu:
             _fail("perturbing a null atom changed the integral", mu=mu)
     non_null = list(iter_bits(prob.nonnull_mask))
-    i = rng.choice(non_null)
+    i = non_null[_below(rng, len(non_null))]
     vals = list(xi.atom_values)
     vals[i] = vals[i] + ExtReal(1) if vals[i].is_finite else ZERO
     eta = RandomVariable(mu.space, vals)
@@ -711,8 +750,8 @@ def _prop_ess_sup_definition(rng, cfg):
     prob = _random_probability(rng, space)
     k = space.n_atoms
     family = [
-        MeasurableSet(space, rng.randrange(1 << k))
-        for _ in range(rng.randint(1, 4))
+        MeasurableSet(space, _below(rng, 1 << k))
+        for _ in range(_below(rng, 4) + 1)
     ]
     e = ess_sup(family, prob)
 
@@ -838,10 +877,12 @@ def run_fuzz(cfg: FuzzConfig) -> tuple[dict, list[dict]]:
     property_reports = []
     counterexamples = []
     total_failures = 0
+    # one generator, reseeded per trial: the same state as a new one
+    rng = random.Random()
     for prop_index, (name, fn) in enumerate(PROPERTIES):
         failures = 0
         for trial in range(cfg.trials):
-            rng = random.Random(_mix64(cfg.seed, prop_index + 1, trial))
+            rng.seed(_mix64(cfg.seed, prop_index + 1, trial))
             try:
                 fn(rng, cfg)
             except Exception as exc:

@@ -65,26 +65,29 @@ class AtomVector:
             raise ValueError(
                 f"expected {space.n_atoms} atom values, got {len(values)}"
             )
+        # one pass for the infinity masks and the lcm of the denominators
+        # (an infinity has _d None), then one to scale the finite atoms
         pos = neg = 0
-        ratios = []  # (numerator, denominator) of each finite part
+        denom = 1
         for i, v in enumerate(values):
             if not isinstance(v, ExtReal):
                 raise TypeError(f"ExtReal required, got {type(v).__name__}")
-            if v.is_finite:
-                ratios.append((v._n, v._d))
-            else:
-                ratios.append((0, 1))
+            d = v._d
+            if d is None:
                 if v.sign() > 0:
                     pos |= 1 << i
                 else:
                     neg |= 1 << i
-        denom = lcm(*[d for _, d in ratios])
+            elif denom % d:
+                denom = lcm(denom, d)
         self.space = space
         self.atom_values = values
         self.pos_inf_mask = pos
         self.neg_inf_mask = neg
         self._denom = denom
-        self._scaled = tuple([n * (denom // d) for n, d in ratios])
+        self._scaled = tuple(
+            [0 if v._d is None else v._n * (denom // v._d) for v in values]
+        )
 
     def mask_sum(self, mask: int) -> ExtReal:
         """Sum of the atom values over the atoms of ``mask``, 0 when empty.

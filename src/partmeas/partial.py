@@ -421,15 +421,27 @@ def jordan_decompose_detailed(mu: MaximalPartialMeasure) -> JordanDecomposition:
     mu(A) = mu_plus(A) - mu_minus(A) holds exactly, and outside the
     domain both parts are +inf.  The per-atom attaining sets are kept
     for diagnostics.
+
+    At one atom the suprema are read off its value v, with the ties of
+    :func:`jordan_sup`: the positive part is v and attained at the atom
+    when v > 0 (+inf included), else 0 and attained at the empty set;
+    the negative part is -v and attained at the atom when v < 0, else 0
+    and attained at the empty set.
     """
     space = mu.space
-    plus = [jordan_sup(mu, space.atom_set(i), "plus") for i in range(space.n_atoms)]
-    minus = [jordan_sup(mu, space.atom_set(i), "minus") for i in range(space.n_atoms)]
+    empty = MeasurableSet(space, 0)
+    plus, minus, plus_at, minus_at = [], [], [], []
+    for i, v in enumerate(mu.atom_values):
+        sign = v.sign()
+        plus.append(v if sign > 0 else ZERO)
+        minus.append(-v if sign < 0 else ZERO)
+        plus_at.append(MeasurableSet(space, 1 << i) if sign > 0 else empty)
+        minus_at.append(MeasurableSet(space, 1 << i) if sign < 0 else empty)
     return JordanDecomposition(
-        PositiveMeasure(space, [v for v, _ in plus]),
-        PositiveMeasure(space, [v for v, _ in minus]),
-        tuple(f for _, f in plus),
-        tuple(f for _, f in minus),
+        PositiveMeasure(space, plus),
+        PositiveMeasure(space, minus),
+        tuple(plus_at),
+        tuple(minus_at),
     )
 
 

@@ -20,6 +20,7 @@ from partmeas.fuzzing import (
     generate_random_instance,
     run_fuzz,
 )
+from partmeas.spaces import ENUMERATION_CAP
 
 
 def test_config_validation():
@@ -33,6 +34,31 @@ def test_config_validation():
         FuzzConfig(max_atoms=99)
     with pytest.raises(InvalidConfigError):
         FuzzConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 2.5),
+        ("trials", 5.0),
+        ("trials", True),
+        ("max_atoms", 3.0),
+        ("max_atoms", True),
+        ("seed", True),
+        ("seed", False),
+    ],
+)
+def test_config_fields_must_be_ints(field, value):
+    # a float passed validation and then failed inside run_fuzz: range()
+    # raised TypeError, or every property failed with it; a bool was 0 or 1
+    with pytest.raises(InvalidConfigError):
+        FuzzConfig(**{field: value})
+
+
+def test_seed_bound_is_64_bits():
+    assert FuzzConfig(seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(InvalidConfigError, match="64-bit"):
+        FuzzConfig(seed=2**64)
 
 
 def test_instance_stream_is_deterministic():
@@ -94,6 +120,24 @@ def test_every_property_draws_a_fixed_stream(monkeypatch):
     report, _ = run_fuzz(FuzzConfig(seed=1, trials=30))
     assert report["failures"] == 0
     assert h.hexdigest() == _WHOLE_STREAM_SHA256
+
+
+def test_below_draws_what_randrange_draws():
+    # powers of two and their neighbours reject the most draws
+    sizes = [*range(1, 40), *(2**k + d for k in range(5, 70, 8) for d in (-1, 0, 1))]
+    ours, theirs = random.Random(5), random.Random(5)
+    for n in sizes:
+        for _ in range(20):
+            assert fuzzing._below(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+    with pytest.raises(ValueError):
+        fuzzing._below(ours, 0)
+
+
+def test_instances_reach_every_size_up_to_the_cap():
+    cfg = FuzzConfig(seed=0, max_atoms=ENUMERATION_CAP)
+    sizes = {generate_random_instance(cfg, t)[0].space.n_atoms for t in range(200)}
+    assert sizes == set(range(1, ENUMERATION_CAP + 1))
 
 
 def test_infinite_pool_produces_restricted_domains():

@@ -1,6 +1,6 @@
 """Line coverage of the tier-1 tests over src/partmeas, standard library only.
 
-Usage: python3 tools/linecov.py  (not a test and not a CI step: slow)
+Usage: python3 tools/linecov.py  (not a test; slow, so CI runs it on one job)
 
 Runs the tier-1 tests in this process under a sys.settrace tracer and
 prints each statement line of src/partmeas (the first line of a statement
