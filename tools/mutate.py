@@ -89,40 +89,39 @@ def main() -> int:
     args = parser.parse_args()
     module = args.module.resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
+    lines = source.splitlines()
     counter = Mutator()
     counter.visit(ast.parse(source))
-    lines = source.splitlines()
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    survivors = []
+    survived = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(tmp) / name)
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        env["PYTHONPATH"] = str(Path(tmp) / "src")
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(tmp) / "src")}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
                    "no:cacheprovider", *args.tests]
 
-        def run() -> int | str:
+        def passes() -> bool:
             try:
-                return subprocess.run(command, cwd=tmp, env=env, timeout=args.timeout,
-                                      capture_output=True).returncode
+                return subprocess.run(command, cwd=tmp, env=env, capture_output=True,
+                                      timeout=args.timeout).returncode == 0
             except subprocess.TimeoutExpired:
-                return "timeout"
+                return False
 
-        if run() != 0:
+        if not passes():
             print("the tests fail on the unmutated module")
             return 1
         for target in range(counter.sites):
             mutator = Mutator(target)
             tree = mutator.visit(ast.parse(source))
             (Path(tmp) / module).write_text(ast.unparse(tree), encoding="utf-8")
-            status = run()
-            line, change = mutator.hit
-            if status == 0:
-                survivors.append(line)
+            if passes():
+                survived += 1
+                line, change = mutator.hit
                 print(f"{module}:{line}: {change} survived: {lines[line - 1].strip()}",
                       flush=True)
-    print(f"{module}: {counter.sites} mutants, {len(survivors)} survived")
+    print(f"{module}: {counter.sites} mutants, {survived} survived")
     return 0
 
 
