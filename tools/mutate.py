@@ -1,6 +1,6 @@
 """Mutation testing of one module of src/partmeas, standard library only.
 
-Usage: python3 tools/mutate.py MODULE TEST... [--workdir DIR] [--timeout S]
+Usage: python3 tools/mutate.py MODULE TEST... [--workdir DIR]
   e.g. python3 tools/mutate.py src/partmeas/measure.py tests/test_measure.py
 
 Not a test and not a CI step: it runs the given tests once per mutant.
@@ -9,7 +9,8 @@ Each mutant flips one operator of MODULE: a comparison (< and <=, > and
 or, or drops one `not`.  Type annotations are left alone.  The tests run
 in a copy of src/, tests/ and pyproject.toml made under --workdir (the
 system's temporary directory by default), so the checkout is never
-changed.  A mutant survives when the tests pass; a timeout kills it.
+changed.  A mutant survives when the tests pass; a run longer than
+TIMEOUT_S kills it.
 Prints each survivor's line and the counts.
 """
 
@@ -23,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300.0  # kills mutants that loop forever
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -85,7 +87,6 @@ def main() -> int:
     parser.add_argument("module", type=Path)
     parser.add_argument("tests", nargs="+")
     parser.add_argument("--workdir", default=None)
-    parser.add_argument("--timeout", type=float, default=300.0)
     args = parser.parse_args()
     module = args.module.resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
@@ -105,7 +106,7 @@ def main() -> int:
         def passes() -> bool:
             try:
                 return subprocess.run(command, cwd=tmp, env=env, capture_output=True,
-                                      timeout=args.timeout).returncode == 0
+                                      timeout=TIMEOUT_S).returncode == 0
             except subprocess.TimeoutExpired:
                 return False
 
