@@ -376,6 +376,18 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
+def _atom_sup(v: ExtReal, side: str) -> tuple[ExtReal, bool]:
+    """The defining supremum at the single atom of value v, and whether
+    the atom attains it (else the empty set does).
+
+    With w = v for side="plus" and w = -v for side="minus": w and True
+    when w > 0 (+inf included), else 0 and False.
+    """
+    if (v.sign() if side == "plus" else -v.sign()) > 0:
+        return (v if side == "plus" else -v), True
+    return ZERO, False
+
+
 def jordan_sup(
     mu: MaximalPartialMeasure, a: MeasurableSet, side: str
 ) -> tuple[ExtReal, MeasurableSet]:
@@ -396,11 +408,11 @@ def jordan_sup(
     total = ZERO
     attaining = 0
     for i in iter_bits(a.mask):
-        v = mu.atom_values[i] if side == "plus" else -mu.atom_values[i]
-        if v == PLUS_INF:
+        part, attained = _atom_sup(mu.atom_values[i], side)
+        if part == PLUS_INF:
             return PLUS_INF, MeasurableSet(mu.space, 1 << i)
-        if v > ZERO:
-            total += v
+        if attained:
+            total += part
             attaining |= 1 << i
     return total, MeasurableSet(mu.space, attaining)
 
@@ -422,21 +434,22 @@ def jordan_decompose_detailed(mu: MaximalPartialMeasure) -> JordanDecomposition:
     domain both parts are +inf.  The per-atom attaining sets are kept
     for diagnostics.
 
-    At one atom the suprema are read off its value v, with the ties of
-    :func:`jordan_sup`: the positive part is v and attained at the atom
-    when v > 0 (+inf included), else 0 and attained at the empty set;
-    the negative part is -v and attained at the atom when v < 0, else 0
-    and attained at the empty set.
+    Each part is computed atom by atom, by the single-atom rule that
+    :func:`jordan_sup` also uses: the positive part at an atom of value
+    v is v and attained at the atom when v > 0 (+inf included), else 0
+    and attained at the empty set; the negative part is -v and attained
+    at the atom when v < 0, else 0 and attained at the empty set.
     """
     space = mu.space
     empty = MeasurableSet(space, 0)
     plus, minus, plus_at, minus_at = [], [], [], []
     for i, v in enumerate(mu.atom_values):
-        sign = v.sign()
-        plus.append(v if sign > 0 else ZERO)
-        minus.append(-v if sign < 0 else ZERO)
-        plus_at.append(MeasurableSet(space, 1 << i) if sign > 0 else empty)
-        minus_at.append(MeasurableSet(space, 1 << i) if sign < 0 else empty)
+        p, p_attained = _atom_sup(v, "plus")
+        m, m_attained = _atom_sup(v, "minus")
+        plus.append(p)
+        minus.append(m)
+        plus_at.append(MeasurableSet(space, 1 << i) if p_attained else empty)
+        minus_at.append(MeasurableSet(space, 1 << i) if m_attained else empty)
     return JordanDecomposition(
         PositiveMeasure(space, plus),
         PositiveMeasure(space, minus),
