@@ -11,7 +11,9 @@ from partmeas import (
     fuzzing,
     jsonio,
 )
+from partmeas.density import ess_sup, is_abs_continuous, mu_xi
 from partmeas.errors import InvalidConfigError, MixedInfinitiesInDomainSetError
+from partmeas.extreal import ZERO
 from partmeas.fuzzing import (
     MAX_FUZZ_TRIALS,
     FuzzConfig,
@@ -20,20 +22,42 @@ from partmeas.fuzzing import (
     generate_random_instance,
     run_fuzz,
 )
-from partmeas.spaces import ENUMERATION_CAP
+from partmeas.measure import PositiveMeasure, hahn_decomposition
+from partmeas.partial import (
+    corollary1_witness,
+    hahn_partial,
+    jordan_decompose_detailed,
+    jordan_sup,
+    maximalize,
+    value_table,
+)
+from partmeas.spaces import ENUMERATION_CAP, MeasurableSet
+from partmeas.symbolic import FINITE, FPlusDecision, SymbolicSet, sym_in_f_plus
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfigError):
+    trials = f"^trials must be between 1 and {MAX_FUZZ_TRIALS}$"
+    atoms = f"^max_atoms must be between 1 and {ENUMERATION_CAP}$"
+    with pytest.raises(InvalidConfigError, match=trials):
         FuzzConfig(trials=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match=trials):
         FuzzConfig(trials=MAX_FUZZ_TRIALS + 1)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match=atoms):
         FuzzConfig(max_atoms=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match=atoms):
         FuzzConfig(max_atoms=99)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="^seed must be a 64-bit unsigned integer$"):
         FuzzConfig(seed=-1)
+
+
+def test_config_repr_equality_and_hash():
+    cfg = FuzzConfig(1, 2, 3)
+    assert cfg == FuzzConfig(seed=1, trials=2, max_atoms=3)
+    assert hash(cfg) == hash(FuzzConfig(seed=1, trials=2, max_atoms=3))
+    assert cfg != FuzzConfig(1, 2, 4)
+    assert cfg != (1, 2, 3)
+    assert repr(cfg) == "FuzzConfig(seed=1, trials=2, max_atoms=3)"
+    assert repr(FuzzConfig()) == "FuzzConfig(seed=0, trials=100, max_atoms=6)"
 
 
 @pytest.mark.parametrize(
@@ -232,6 +256,211 @@ def test_a_wrong_set_value_fails_additivity(monkeypatch):
         if c["property"] == "measure_additivity_and_monotonicity"
     ]
     assert detail.startswith("additivity failed on")
+
+
+# ---------------------------------------------------------------------------
+# each property fails when the library answers wrongly
+#
+# Each case installs a wrong answer and runs its property alone (at index
+# 0, so on its own seeded stream) for 20 trials.  The failure count and
+# the first counterexample's detail are pinned: a check that fires later,
+# on fewer trials or with another text means the property was weakened.
+
+
+def _patch(name, wrong):
+    def install(monkeypatch):
+        monkeypatch.setattr(fuzzing, name, wrong)
+
+    return install
+
+
+class _NegatedDomain(MaximalPartialMeasure):
+    __slots__ = ()
+
+    def in_domain_mask(self, mask):
+        return not super().in_domain_mask(mask)
+
+
+class _Shrinking(PositiveMeasure):
+    # larger sets get smaller values
+    __slots__ = ()
+
+    def evaluate(self, a):
+        return ExtReal(-a.mask.bit_count())
+
+
+class _StrayMinusSingleton(SymbolicSet):
+    __slots__ = ()
+
+    @classmethod
+    def singleton_bc(cls, i):
+        # random members list ids below 10, so id 100 lies outside a
+        # finite half
+        return SymbolicSet.singleton_bc(i + 100)
+
+
+def _stray_witness(c):
+    decision = sym_in_f_plus(c)
+    if decision.member or c.bc_part.kind != FINITE:
+        return decision
+    return FPlusDecision(False, SymbolicSet.singleton_bc(c.bc_part.fresh_id()))
+
+
+def _multi_atom_sets_negative(mu):
+    # every set of two or more atoms reads -1, so no union of two
+    # nonnegative atoms stays in the nonnegative class
+    return [
+        v if not m & (m - 1) else ExtReal(-1) for m, v in enumerate(value_table(mu))
+    ]
+
+
+def _one_part_finite_outside_the_domain(monkeypatch):
+    # the identity holds on the domain, but outside it only the positive
+    # part is +inf: the negative part's table reads 0 there
+    parts = []
+
+    def recording(mu):
+        parts[:] = [jordan_decompose_detailed(mu)]
+        return parts[0]
+
+    def table(x):
+        t = value_table(x)
+        if parts and x is parts[0].mu_minus:
+            both = parts[0].mu_plus.pos_inf_mask, x.pos_inf_mask
+            for m in range(len(t)):
+                if m & both[0] and m & both[1]:
+                    t[m] = ZERO
+        return t
+
+    monkeypatch.setattr(fuzzing, "jordan_decompose_detailed", recording)
+    monkeypatch.setattr(fuzzing, "value_table", table)
+
+
+_EMPTY_SPLIT = (lambda m: (MeasurableSet(m.space, 0), MeasurableSet(m.space, 0)))
+
+WRONG_ANSWERS = [
+    (
+        "total_measure_hahn_split",
+        20,
+        _patch("hahn_decomposition", _EMPTY_SPLIT),
+        "positive/negative parts do not partition the space",
+    ),
+    (
+        "total_measure_hahn_split",
+        20,
+        _patch("hahn_decomposition", lambda m: hahn_decomposition(m)[::-1]),
+        "a subset of the positive part is negative",
+    ),
+    (
+        "finite_scale_hahn_split",
+        20,
+        _patch("hahn_partial", lambda mu: hahn_partial(mu)[::-1]),
+        "positive side fails class membership",
+    ),
+    (
+        "absolutely_continuous_split",
+        20,
+        _patch("ess_sup", lambda family, prob: ess_sup(family, prob).complement()),
+        "essential supremum left the nonnegative class",
+    ),
+    (
+        "absolute_continuity_criteria_agree",
+        20,
+        _patch("is_abs_continuous", lambda mu, prob: not is_abs_continuous(mu, prob)),
+        "atom criterion disagrees with the quantified criterion",
+    ),
+    (
+        # additive, so only the comparison with the positive part can fail
+        "sup_formula_is_additive",
+        18,
+        _patch("jordan_sup", lambda mu, a, side: jordan_sup(mu, a, "minus")),
+        "the supremum formula disagrees with the positive part",
+    ),
+    (
+        "integration_domain_is_quasi_integrability",
+        20,
+        _patch(
+            "mu_xi", lambda xi, prob: _NegatedDomain(xi.space, mu_xi(xi, prob).atom_values)
+        ),
+        "quasi-integrability domain is wrong on mask 0",
+    ),
+    (
+        "measure_additivity_and_monotonicity",
+        17,
+        _patch("PositiveMeasure", _Shrinking),
+        "positive measure is not monotone",
+    ),
+    (
+        "decomposition_identity",
+        3,
+        _one_part_finite_outside_the_domain,
+        "outside the domain both parts must be +inf",
+    ),
+    (
+        "outside_domain_witnesses",
+        3,
+        _patch(
+            "corollary1_witness",
+            lambda mu, a: (corollary1_witness(mu, a)[0], a.space.full_set()),
+        ),
+        "witnesses are not subsets",
+    ),
+    (
+        "outside_domain_witnesses",
+        3,
+        _patch(
+            "corollary1_witness",
+            lambda mu, a: (corollary1_witness(mu, a)[0], MeasurableSet(a.space, 0)),
+        ),
+        "witness values are not the infinities",
+    ),
+    (
+        # a valid maximal measure with the same domain and other values
+        "maximality_characterization",
+        13,
+        _patch(
+            "maximalize",
+            lambda pm: MaximalPartialMeasure(
+                pm.space, [-v for v in maximalize(pm).atom_values]
+            ),
+        ),
+        "maximalization does not extend the original",
+    ),
+    (
+        "nonnegative_class_union_closure",
+        6,
+        _patch("value_table", _multi_atom_sets_negative),
+        "union of nonnegative-class members left the class",
+    ),
+    (
+        "symbolic_decision_matches_oracle",
+        5,
+        _patch("sym_in_f_plus", _stray_witness),
+        "missing or stray counterexample witness",
+    ),
+    (
+        "symbolic_fragment_maximality",
+        15,
+        _patch("SymbolicSet", _StrayMinusSingleton),
+        "infinite singletons are not inside the undefined set",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, failures, install, detail",
+    WRONG_ANSWERS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(WRONG_ANSWERS)],
+)
+def test_a_wrong_library_answer_fails_its_property(
+    monkeypatch, name, failures, install, detail
+):
+    (entry,) = [p for p in PROPERTIES if p[0] == name]
+    monkeypatch.setattr(fuzzing, "PROPERTIES", [entry])
+    install(monkeypatch)
+    report, counterexamples = run_fuzz(FuzzConfig(seed=1, trials=20))
+    assert report["failures"] == failures
+    assert counterexamples[0]["detail"].startswith(detail)
 
 
 def test_property_names_are_unique():

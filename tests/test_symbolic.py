@@ -157,7 +157,26 @@ def test_pinned_cases_in_failure_check():
 
 def test_half_normalization():
     assert HalfSet(FINITE, (3, 1, 3)).ids == (1, 3)
-    with pytest.raises(ValueError):
-        HalfSet("open", (1,))
-    with pytest.raises(ValueError):
+    assert HalfSet(kind=COFINITE, ids=[2, 0]).ids == (0, 2)
+    with pytest.raises(ValueError, match="^kind must be finite or cofinite, got 'open'$"):
+        HalfSet("open", (-1,))
+    with pytest.raises(ValueError, match="^point indices must be nonnegative$"):
         HalfSet(FINITE, (-1,))
+
+
+def test_set_descriptions_repr_equality_and_hash():
+    s = SymbolicSet.singleton_b(3)
+    assert repr(s) == (
+        "SymbolicSet(b_part=HalfSet(kind='finite', ids=(3,)), "
+        "bc_part=HalfSet(kind='finite', ids=()))"
+    )
+    assert repr(cof(2, 1)) == "HalfSet(kind='cofinite', ids=(1, 2))"
+    assert s == SymbolicSet(b_part=fin(3, 3), bc_part=fin())
+    assert hash(s) == hash(SymbolicSet(fin(3, 3), fin()))
+    assert fin(2, 1) == fin(1, 2) and hash(fin(2, 1)) == hash(fin(1, 2))
+    assert s != SymbolicSet.singleton_bc(3)
+    assert fin(1) != cof(1)
+    assert s != (fin(3), fin())
+    assert fin(1) != (FINITE, (1,))
+    assert len({s, SymbolicSet.singleton_b(3), SymbolicSet.empty()}) == 2
+
