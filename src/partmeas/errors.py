@@ -130,6 +130,16 @@ class InvalidConfigError(PartmeasError):
     code = "InvalidConfig"
 
 
+def check_int_between(value: object, lo: int, hi: int, detail: str) -> None:
+    """Raise InvalidConfigError(detail) unless ``value`` is an int in lo..hi.
+
+    A bool is an int to isinstance, but never a count or a seed, and a
+    float such as 2.5 or 5.0 is refused rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise InvalidConfigError(detail)
+
+
 class SchemaError(Exception):
     """An input file or payload does not match the expected schema.
 

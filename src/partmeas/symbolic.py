@@ -27,12 +27,11 @@ is lost at this finitary scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidConfigError, NotInAlgebraError
+from .errors import NotInAlgebraError, check_int_between
 
 __all__ = [
     "FINITE",
@@ -55,20 +54,30 @@ FINITE = "finite"
 COFINITE = "cofinite"
 
 
-@dataclass(frozen=True)
 class HalfSet:
     """One half of a description: finite ids, or the half minus ids."""
 
-    kind: str
-    ids: tuple[int, ...]
+    __slots__ = ("kind", "ids")
 
-    def __post_init__(self):
-        if self.kind not in (FINITE, COFINITE):
-            raise ValueError(f"kind must be finite or cofinite, got {self.kind!r}")
-        canon = tuple(sorted(set(self.ids)))
+    def __init__(self, kind: str, ids: Iterable[int]):
+        if kind not in (FINITE, COFINITE):
+            raise ValueError(f"kind must be finite or cofinite, got {kind!r}")
+        canon = tuple(sorted(set(ids)))
         if any(i < 0 for i in canon):
             raise ValueError("point indices must be nonnegative")
-        object.__setattr__(self, "ids", canon)
+        self.kind = kind
+        self.ids = canon
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.kind == other.kind and self.ids == other.ids
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.ids))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(kind={self.kind!r}, ids={self.ids!r})"
 
     @property
     def is_empty(self) -> bool:
@@ -110,12 +119,27 @@ def _full_half() -> HalfSet:
     return HalfSet(COFINITE, ())
 
 
-@dataclass(frozen=True)
 class SymbolicSet:
     """A set description: intersection with each of the two halves."""
 
-    b_part: HalfSet
-    bc_part: HalfSet
+    __slots__ = ("b_part", "bc_part")
+
+    def __init__(self, b_part: HalfSet, bc_part: HalfSet):
+        self.b_part = b_part
+        self.bc_part = bc_part
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.b_part == other.b_part and self.bc_part == other.bc_part
+
+    def __hash__(self) -> int:
+        return hash((self.b_part, self.bc_part))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(b_part={self.b_part!r}, bc_part={self.bc_part!r})"
+        )
 
     @classmethod
     def empty(cls) -> "SymbolicSet":
@@ -262,10 +286,12 @@ def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
     Two-step case analysis, each step computed on concrete sets, plus a
     seeded fuzz pass over random algebra members looking for a
     counterexample.  Returns a machine-readable report; raises
-    InvalidConfigError when ``trials`` lies outside 1..MAX_HAHN_TRIALS.
+    InvalidConfigError unless ``trials`` is an int (not a bool) in
+    1..MAX_HAHN_TRIALS.
     """
-    if not 1 <= trials <= MAX_HAHN_TRIALS:
-        raise InvalidConfigError(f"trials must be between 1 and {MAX_HAHN_TRIALS}")
+    check_int_between(
+        trials, 1, MAX_HAHN_TRIALS, f"trials must be between 1 and {MAX_HAHN_TRIALS}"
+    )
     rng = random.Random(seed)
     step1_checked = step1_violations = 0
     step2_checked = step2_violations = 0

@@ -509,12 +509,12 @@ def on_demand_modules_after(code):
         (
             "from partmeas import cli; "
             "assert cli.main(['example3', '--trials', '30', '--no-banner']) == 0",
-            ["dataclasses", "partmeas.symbolic"],
+            ["partmeas.symbolic"],
         ),
         (
             "from partmeas import cli; "
             "assert cli.main(['fuzz', '--trials', '1', '--max-atoms', '3', '--no-banner']) == 0",
-            ["dataclasses", "partmeas.fuzzing", "partmeas.symbolic"],
+            ["partmeas.fuzzing", "partmeas.symbolic"],
         ),
     ],
 )

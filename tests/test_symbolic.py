@@ -13,8 +13,13 @@ from partmeas import (
     sym_in_f_minus,
     sym_in_f_plus,
 )
-from partmeas.errors import NotInAlgebraError
-from partmeas.symbolic import COFINITE, FINITE, random_algebra_member
+from partmeas.errors import InvalidConfigError, NotInAlgebraError
+from partmeas.symbolic import (
+    COFINITE,
+    FINITE,
+    MAX_HAHN_TRIALS,
+    random_algebra_member,
+)
 
 
 def fin(*ids):
@@ -147,6 +152,14 @@ def test_hahn_failure_deterministic():
     )
 
 
+def test_a_point_that_is_not_fresh_fails_step_two(monkeypatch):
+    # a "fresh" index that c already holds puts the witness inside c, not
+    # inside its complement, and step 2 must say that it does not hold
+    monkeypatch.setattr(HalfSet, "fresh_id", lambda self: (*self.ids, 0)[0])
+    step1, step2 = hahn_failure_check(seed=5, trials=200)["steps"]
+    assert step1["holds"]
+    assert step2["checked"] > 0 and not step2["holds"]
+
 def test_pinned_cases_in_failure_check():
     # c = ∅ is in the nonnegative class and its complement is not in the
     # nonpositive one; a finite nonempty member behaves the same way
@@ -180,3 +193,10 @@ def test_set_descriptions_repr_equality_and_hash():
     assert fin(1) != (FINITE, (1,))
     assert len({s, SymbolicSet.singleton_b(3), SymbolicSet.empty()}) == 2
 
+@pytest.mark.parametrize("trials", [True, 2.5, 10.0, "5", 0, MAX_HAHN_TRIALS + 1])
+def test_failure_check_trials_must_be_an_int_in_range(trials):
+    # True ran one trial and reported "trials": true; 2.5 reached range()
+    with pytest.raises(
+        InvalidConfigError, match=f"^trials must be between 1 and {MAX_HAHN_TRIALS}$"
+    ):
+        hahn_failure_check(trials=trials)
