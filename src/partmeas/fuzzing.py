@@ -112,7 +112,7 @@ _POSITIVE_INF_CHANCE = 0.15
 _WEIGHT_DENOM = lcm(*range(1, 9))
 
 # The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
-# the default, about 35 s at max_atoms=6 on a 2-CPU VM.
+# the default, about 21 s at max_atoms=6 on a 2-CPU VM (Python 3.11).
 MAX_FUZZ_TRIALS = 10_000
 
 

@@ -326,9 +326,9 @@ def _one_part_finite_outside_the_domain(monkeypatch):
     def table(x):
         t = value_table(x)
         if parts and x is parts[0].mu_minus:
-            both = parts[0].mu_plus.pos_inf_mask, x.pos_inf_mask
+            plus_inf, minus_inf = parts[0].mu_plus.pos_inf_mask, x.pos_inf_mask
             for m in range(len(t)):
-                if m & both[0] and m & both[1]:
+                if m & plus_inf and m & minus_inf:
                     t[m] = ZERO
         return t
 
