@@ -307,10 +307,10 @@ def _fail(detail: str, mu: MaximalPartialMeasure | None = None) -> NoReturn:
 def _signed_throughout(
     value: Callable[[int], ExtReal | None], mask: int, sign: int
 ) -> bool:
-    """The literal sign-class test: every submask of ``mask`` is in the
-    domain, ``value`` not None, with a value of sign ``sign`` or 0.
+    """The literal sign-class test: every submask s of ``mask`` has a
+    value ``value(s)`` (None outside the domain) of sign ``sign`` or 0.
 
-    ``value`` is a table's lookup or :func:`_vector_value`."""
+    ``value`` is a table's ``__getitem__`` or :func:`_vector_value`."""
     for s in iter_submasks(mask):
         v = value(s)
         if v is None or v.sign() == -sign:

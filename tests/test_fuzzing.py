@@ -336,13 +336,14 @@ def _one_part_finite_outside_the_domain(monkeypatch):
     monkeypatch.setattr(fuzzing, "value_table", table)
 
 
-_EMPTY_SPLIT = (lambda m: (MeasurableSet(m.space, 0), MeasurableSet(m.space, 0)))
-
 WRONG_ANSWERS = [
     (
         "total_measure_hahn_split",
         20,
-        _patch("hahn_decomposition", _EMPTY_SPLIT),
+        _patch(
+            "hahn_decomposition",
+            lambda m: (MeasurableSet(m.space, 0), MeasurableSet(m.space, 0)),
+        ),
         "positive/negative parts do not partition the space",
     ),
     (
