@@ -121,6 +121,8 @@ class ExtReal:
         # a set of values must not depend on how a value is stored
         if self._kind != _FIN:
             return hash((self._kind, None))
+        if self._d == 1:  # hash(Fraction(n, 1)) == hash(n), with no Fraction built
+            return hash((_FIN, self._n))
         return hash((_FIN, Fraction(self._n, self._d)))
 
     # Finite comparisons cross-multiply: with positive denominators,

@@ -19,18 +19,12 @@ Each property replays one invariant of the package on random instances
 and raises :class:`PropertyViolation` with a serialized counterexample
 when it fails.
 
-A property computes only the set values its check reads.  Where that is
-a few sets, or the subsets of one or two sets, it reads them through the
-vector's own ``in_domain_mask`` and ``mask_sum``: the three Hahn-type
-splits walk the submasks of each side, the absolute-continuity criterion
-the subsets of the null set, and the supremum formula reads one set.
-Five properties quantify over every set, so they build the full
-``value_table`` once and read each entry from it:
-``disjoint_families_sum_equally`` and ``nonnegative_class_union_closure``
-test every mask for the nonnegative class (3^k submask reads),
-``decomposition_identity`` and ``decomposition_is_minimal`` compare two
-or three vectors on every set, and ``outside_domain_witnesses`` visits
-every set outside the domain and the subsets of its witnesses.
+No property builds a ``value_table``.  A property reads only the sets
+its check needs, through the vector's own ``in_domain_mask`` and
+``mask_sum`` (:func:`_vector_value`), or through ``evaluate`` where that
+method is what it checks.  The three that walk the submasks of many sets
+(up to 3^k reads) first read each set once into a list
+(:func:`_vector_table`).
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from .partial import (
     restrict_to,
     single_set_extensions,
     validate_partial,
-    value_table,
 )
 from .spaces import (
     ENUMERATION_CAP,
@@ -112,7 +105,7 @@ _POSITIVE_INF_CHANCE = 0.15
 _WEIGHT_DENOM = lcm(*range(1, 9))
 
 # The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
-# the default, about 21 s at max_atoms=6 on a 2-CPU VM (Python 3.11).
+# the default, about 17 s at max_atoms=6 on a 2-CPU VM (Python 3.11).
 MAX_FUZZ_TRIALS = 10_000
 
 
@@ -310,7 +303,8 @@ def _signed_throughout(
     """The literal sign-class test: every submask s of ``mask`` has a
     value ``value(s)`` (None outside the domain) of sign ``sign`` or 0.
 
-    ``value`` is a table's ``__getitem__`` or :func:`_vector_value`."""
+    ``value`` is :func:`_vector_value` or a :func:`_vector_table`'s
+    ``__getitem__``."""
     for s in iter_submasks(mask):
         v = value(s)
         if v is None or v.sign() == -sign:
@@ -325,6 +319,11 @@ def _vector_value(mu: AtomVector) -> Callable[[int], ExtReal | None]:
         return mu.mask_sum(mask) if mu.in_domain_mask(mask) else None
 
     return value
+
+
+def _vector_table(mu: AtomVector) -> list[ExtReal | None]:
+    """Every mask's :func:`_vector_value`, indexed by mask."""
+    return list(map(_vector_value(mu), range(1 << mu.space.n_atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +513,7 @@ def _prop_restriction_validates(rng, cfg):
 
 def _prop_disjoint_family_sums(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    table = value_table(mu)
+    table = _vector_table(mu)
     fp = [m for m in range(len(table)) if _signed_throughout(table.__getitem__, m, 1)]
     u = fp[_below(rng, len(fp))]
 
@@ -535,7 +534,7 @@ def _prop_disjoint_family_sums(rng, cfg):
 
 def _prop_union_closure(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    table = value_table(mu)
+    table = _vector_table(mu)
     fp = {m for m in range(len(table)) if _signed_throughout(table.__getitem__, m, 1)}
     members = rng.sample(sorted(fp), min(len(fp), _below(rng, 4) + 1))
     union = 0
@@ -548,14 +547,14 @@ def _prop_union_closure(rng, cfg):
 def _prop_jordan_identity(rng, cfg):
     mu = _random_maximal(rng, cfg)
     d = jordan_decompose_detailed(mu)
-    t = value_table(mu)
-    tp = value_table(d.mu_plus)
-    tm = value_table(d.mu_minus)
-    for mask, v in enumerate(t):
+    value = _vector_value(mu)
+    plus, minus = d.mu_plus.mask_sum, d.mu_minus.mask_sum
+    for mask in range(1 << mu.space.n_atoms):
+        v = value(mask)
         if v is not None:
-            if v != tp[mask] - tm[mask]:
+            if v != plus(mask) - minus(mask):
                 _fail(f"decomposition identity failed on mask {mask:b}", mu=mu)
-        elif tp[mask] != PLUS_INF or tm[mask] != PLUS_INF:
+        elif plus(mask) != PLUS_INF or minus(mask) != PLUS_INF:
             _fail(
                 f"outside the domain both parts must be +inf (mask {mask:b})", mu=mu
             )
@@ -601,10 +600,8 @@ def _prop_minimality(rng, cfg):
         )
         if not check_minimality(mu, nu, side):
             _fail(f"a dominating candidate was rejected on side {side}", mu=mu)
-        tn = value_table(nu)
-        tpart = value_table(part)
-        for mask in range(len(tn)):
-            if not tpart[mask] <= tn[mask]:
+        for mask in range(1 << mu.space.n_atoms):
+            if not part.mask_sum(mask) <= nu.mask_sum(mask):
                 _fail(f"extremal property failed on side {side}", mu=mu)
 
 
@@ -626,7 +623,7 @@ def _prop_minimality_rejects(rng, cfg):
 
 def _prop_corollary1(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    table = value_table(mu)
+    table = _vector_table(mu)
     for mask, v in enumerate(table):
         if v is not None:
             continue
@@ -708,14 +705,13 @@ def _prop_diff_measures(rng, cfg):
     m2 = _random_positive_measure(rng, space)
     d = diff_measures(m1, m2)
     for mask in range(1 << space.n_atoms):
-        a = MeasurableSet(space, mask)
-        v1 = m1.evaluate(a)
-        v2 = m2.evaluate(a)
+        v1 = m1.mask_sum(mask)
+        v2 = m2.mask_sum(mask)
         well_posed = not (v1 == PLUS_INF and v2 == PLUS_INF)
-        if d.in_domain(a) != well_posed:
-            _fail(f"difference domain is wrong on {a.key()!r}")
-        if well_posed and d.evaluate(a) != v1 - v2:
-            _fail(f"difference value is wrong on {a.key()!r}")
+        if d.in_domain_mask(mask) != well_posed:
+            _fail(f"difference domain is wrong on {MeasurableSet(space, mask).key()!r}")
+        if well_posed and d.mask_sum(mask) != v1 - v2:
+            _fail(f"difference value is wrong on {MeasurableSet(space, mask).key()!r}")
     shared_inf = any(
         m1.atom_values[i] == PLUS_INF and m2.atom_values[i] == PLUS_INF
         for i in range(space.n_atoms)

@@ -235,6 +235,13 @@ def test_hash_follows_value(a, b):
         assert hash((x + y) - y) == hash(x)
 
 
+def test_hash_is_that_of_kind_and_fraction():
+    for q in (0, 1, -1, -2, 7, 2**70, -(2**70), Fraction(1, 2), Fraction(-7, 3)):
+        assert hash(E(q)) == hash((0, Fraction(q)))
+    assert hash(PLUS_INF) == hash((1, None))
+    assert hash(MINUS_INF) == hash((-1, None))
+
+
 def test_equal_values_hash_alike():
     assert E(2) == E(Fraction(4, 2))
     assert hash(E(2)) == hash(E(Fraction(4, 2)))

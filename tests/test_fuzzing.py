@@ -24,12 +24,13 @@ from partmeas.fuzzing import (
 )
 from partmeas.measure import PositiveMeasure, hahn_decomposition
 from partmeas.partial import (
+    PartialMeasure,
     corollary1_witness,
+    diff_measures,
     hahn_partial,
     jordan_decompose_detailed,
     jordan_sup,
     maximalize,
-    value_table,
 )
 from partmeas.spaces import ENUMERATION_CAP, MeasurableSet
 from partmeas.symbolic import FINITE, FPlusDecision, SymbolicSet, sym_in_f_plus
@@ -306,34 +307,60 @@ def _stray_witness(c):
     return FPlusDecision(False, SymbolicSet.singleton_bc(c.bc_part.fresh_id()))
 
 
-def _multi_atom_sets_negative(mu):
+class _MultiAtomSetsNegative(MaximalPartialMeasure):
     # every set of two or more atoms reads -1, so no union of two
     # nonnegative atoms stays in the nonnegative class
-    return [
-        v if not m & (m - 1) else ExtReal(-1) for m, v in enumerate(value_table(mu))
-    ]
+    __slots__ = ()
+
+    def mask_sum(self, mask):
+        return ExtReal(-1) if mask & (mask - 1) else super().mask_sum(mask)
 
 
-def _one_part_finite_outside_the_domain(monkeypatch):
+class _UnionsOffByOne:
+    # a finite set of two or more atoms reads its atom sum plus _off
+    __slots__ = ()
+    _off = ExtReal(1)
+
+    def mask_sum(self, mask):
+        v = super().mask_sum(mask)
+        return v + self._off if mask & (mask - 1) and v.is_finite else v
+
+
+class _UnionsReadMore(_UnionsOffByOne, MaximalPartialMeasure):
+    __slots__ = ()
+
+
+class _UnionsReadLess(_UnionsOffByOne, PositiveMeasure):
+    __slots__ = ()
+    _off = ExtReal(-1)
+
+
+class _FiniteBesidePlusInf(PositiveMeasure):
+    # reads 0 on a set that also holds a +inf atom of another vector
+    __slots__ = ("other_inf",)
+
+    def __init__(self, vector, other):
+        super().__init__(vector.space, vector.atom_values)
+        self.other_inf = other.pos_inf_mask
+
+    def mask_sum(self, mask):
+        if mask & self.other_inf and mask & self.pos_inf_mask:
+            return ZERO
+        return super().mask_sum(mask)
+
+
+def _finite_sets_only(m1, m2):
+    # a difference that drops every set with an infinite atom
+    d = diff_measures(m1, m2)
+    finite = d.space.full_mask ^ (m1.pos_inf_mask | m2.pos_inf_mask)
+    return PartialMeasure(d.space, [finite], d.atom_values)
+
+
+def _one_part_finite_outside_the_domain(mu):
     # the identity holds on the domain, but outside it only the positive
-    # part is +inf: the negative part's table reads 0 there
-    parts = []
-
-    def recording(mu):
-        parts[:] = [jordan_decompose_detailed(mu)]
-        return parts[0]
-
-    def table(x):
-        t = value_table(x)
-        if parts and x is parts[0].mu_minus:
-            plus_inf, minus_inf = parts[0].mu_plus.pos_inf_mask, x.pos_inf_mask
-            for m in range(len(t)):
-                if m & plus_inf and m & minus_inf:
-                    t[m] = ZERO
-        return t
-
-    monkeypatch.setattr(fuzzing, "jordan_decompose_detailed", recording)
-    monkeypatch.setattr(fuzzing, "value_table", table)
+    # part is +inf: the negative part reads 0 there
+    d = jordan_decompose_detailed(mu)
+    return d._replace(mu_minus=_FiniteBesidePlusInf(d.mu_minus, d.mu_plus))
 
 
 WRONG_ANSWERS = [
@@ -394,7 +421,7 @@ WRONG_ANSWERS = [
     (
         "decomposition_identity",
         3,
-        _one_part_finite_outside_the_domain,
+        _patch("jordan_decompose_detailed", _one_part_finite_outside_the_domain),
         "outside the domain both parts must be +inf",
     ),
     (
@@ -430,7 +457,7 @@ WRONG_ANSWERS = [
     (
         "nonnegative_class_union_closure",
         6,
-        _patch("value_table", _multi_atom_sets_negative),
+        _patch("MaximalPartialMeasure", _MultiAtomSetsNegative),
         "union of nonnegative-class members left the class",
     ),
     (
@@ -444,6 +471,31 @@ WRONG_ANSWERS = [
         4,
         _patch("SymbolicSet", _StrayMinusSingleton),
         "infinite singletons are not inside the undefined set",
+    ),
+    (
+        "disjoint_families_sum_equally",
+        2,
+        _patch("MaximalPartialMeasure", _UnionsReadMore),
+        "disjoint families over",
+    ),
+    (
+        # the candidate dominates on every atom, so check_minimality passes
+        "decomposition_is_minimal",
+        6,
+        _patch("PositiveMeasure", _UnionsReadLess),
+        "extremal property failed on side plus",
+    ),
+    (
+        "difference_of_positive_measures",
+        20,
+        _patch("diff_measures", lambda m1, m2: diff_measures(m2, m1)),
+        "difference value is wrong on",
+    ),
+    (
+        "difference_of_positive_measures",
+        9,
+        _patch("diff_measures", _finite_sets_only),
+        "difference domain is wrong on",
     ),
 ]
 

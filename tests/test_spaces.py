@@ -81,6 +81,13 @@ def test_repr_and_equality_with_other_types():
     assert space != "abc" and space.full_set() != space.full_mask
 
 
+def test_set_equality_needs_the_same_space_and_mask():
+    space = FiniteSpace.discrete("ab")
+    assert MeasurableSet(space, 1) == MeasurableSet(FiniteSpace.discrete("ab"), 1)
+    assert MeasurableSet(space, 1) != MeasurableSet(space, 2)
+    assert MeasurableSet(space, 1) != MeasurableSet(FiniteSpace.discrete("ac"), 1)
+
+
 def test_full_mask():
     assert FiniteSpace.discrete("abcd").full_mask == 0b1111
     # one bit per atom, not per point

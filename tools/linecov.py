@@ -53,6 +53,8 @@ def main() -> int:
         for entry in (ROOT / "tools" / "linecov_allow.txt").read_text().splitlines()
         if entry.strip() and not entry.startswith("#")
     ]
+    # read before the run, so the line numbers are those of the code that ran
+    sources = {p: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC.parent))
     sys.settrace(_global)
@@ -61,8 +63,7 @@ def main() -> int:
     finally:
         sys.settrace(None)
     unrun = allowed = 0
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources.items():
         lines = source.splitlines()
         for no in sorted(statement_lines(source) - ran.get(str(path), set())):
             text = lines[no - 1].strip()

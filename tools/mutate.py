@@ -10,7 +10,8 @@ or, or drops one `not`.  Type annotations are left alone.  The tests run
 in a copy of src/, tests/ and pyproject.toml made under --workdir (the
 system's temporary directory by default), so the checkout is never
 changed.  A mutant survives when the tests pass; a run longer than
-TIMEOUT_S kills it.
+TIMEOUT_S kills it.  Each test run is a process group of its own, killed
+when it ends, times out, or the mutator stops on SIGINT or SIGTERM.
 Prints each survivor's line and the counts.
 """
 
@@ -18,6 +19,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -88,6 +90,9 @@ def main() -> int:
     parser.add_argument("tests", nargs="+")
     parser.add_argument("--workdir", default=None)
     args = parser.parse_args()
+    # SIGTERM raises SystemExit, so the finally blocks kill the child and
+    # remove the work directory
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     module = args.module.resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
     lines = source.splitlines()
@@ -104,11 +109,20 @@ def main() -> int:
                    "no:cacheprovider", *args.tests]
 
         def passes() -> bool:
+            child = subprocess.Popen(
+                command, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, start_new_session=True)
             try:
-                return subprocess.run(command, cwd=tmp, env=env, capture_output=True,
-                                      timeout=TIMEOUT_S).returncode == 0
+                return child.wait(timeout=TIMEOUT_S) == 0
             except subprocess.TimeoutExpired:
                 return False
+            finally:
+                # the group outlives the child when a test left a process behind
+                try:
+                    os.killpg(child.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                child.wait()
 
         if not passes():
             print("the tests fail on the unmutated module")
