@@ -147,6 +147,8 @@ def _parse_fill(text: str) -> dict[str, ExtReal]:
         label, eq, raw = item.partition("=")
         if not eq or not label:
             raise SchemaError(f"--fill entries must look like atom=value, got {item!r}")
+        if label in fill:  # as with a repeated JSON key, never keep only the last
+            raise SchemaError(f"--fill: duplicate atom {label!r}")
         try:
             fill[label] = parse_value(raw)
         except ValueError as exc:

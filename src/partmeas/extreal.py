@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import IllPosedError, TooLargeError
 
@@ -42,8 +42,6 @@ __all__ = [
     "parse",
     "parse_rational",
 ]
-
-Rational = Union[int, Fraction]
 
 # Kind markers are ordered so that plain integer comparison of kinds gives
 # the total order -inf < finite < +inf.
@@ -63,7 +61,7 @@ class ExtReal:
 
     __slots__ = ("_kind", "_n", "_d")
 
-    def __init__(self, value: Rational = 0):
+    def __init__(self, value: int | Fraction = 0):
         if type(value) is int:
             n, d = value, 1
         elif type(value) is Fraction:
@@ -126,7 +124,8 @@ class ExtReal:
         return hash((_FIN, Fraction(self._n, self._d)))
 
     # Finite comparisons cross-multiply: with positive denominators,
-    # a/b < c/d exactly when a*d < c*b.
+    # a/b < c/d exactly when a*d < c*b.  Python answers a > b and a >= b
+    # through the reflected b < a and b <= a.
 
     def __lt__(self, other: "ExtReal") -> bool:
         if not isinstance(other, ExtReal):
@@ -141,20 +140,6 @@ class ExtReal:
         if self._kind != other._kind:
             return self._kind < other._kind
         return self._kind != _FIN or self._n * other._d <= other._n * self._d
-
-    def __gt__(self, other: "ExtReal") -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        if self._kind != other._kind:
-            return self._kind > other._kind
-        return self._kind == _FIN and self._n * other._d > other._n * self._d
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        if self._kind != other._kind:
-            return self._kind > other._kind
-        return self._kind != _FIN or self._n * other._d >= other._n * self._d
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
         if not isinstance(other, ExtReal):

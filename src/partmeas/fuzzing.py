@@ -25,6 +25,9 @@ its check needs, through the vector's own ``in_domain_mask`` and
 method is what it checks.  The three that walk the submasks of many sets
 (up to 3^k reads) first read each set once into a list
 (:func:`_vector_table`).
+
+``FuzzConfig`` takes its equality, hash and repr from its ``__slots__``
+through ``symbolic._Fields``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from .spaces import (
 from .symbolic import (
     SymbolicSet,
     SymbolicValue,
+    _Fields,
     f_plus_enumeration_oracle,
     mu3,
     random_algebra_member,
@@ -134,7 +138,7 @@ def _mix64(*parts: int) -> int:
     return x
 
 
-class FuzzConfig:
+class FuzzConfig(_Fields):
     """The seed, the trials per property and the largest generated space."""
 
     __slots__ = ("seed", "trials", "max_atoms")
@@ -153,24 +157,6 @@ class FuzzConfig:
         self.seed = seed
         self.trials = trials
         self.max_atoms = max_atoms
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.trials == other.trials
-            and self.max_atoms == other.max_atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.seed, self.trials, self.max_atoms))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(seed={self.seed!r}, trials={self.trials!r}, "
-            f"max_atoms={self.max_atoms!r})"
-        )
 
 
 class PropertyViolation(Exception):

@@ -93,12 +93,8 @@ class FiniteSpace:
             if m & ~all_points:
                 raise ValueError("atom mentions an unknown point index")
             seen |= m
-            # an inline bit walk: spaces are built on hot paths, and an
-            # iter_bits generator per atom costs about twice as much
-            while m:
-                low = m & -m
-                atom_of[low.bit_length() - 1] = i
-                m ^= low
+            for j in iter_bits(m):
+                atom_of[j] = i
         if seen != all_points:
             raise ValueError("atoms do not cover all points")
         self.points = pts

@@ -22,6 +22,9 @@ always contains a fresh distinguished-half singleton of value +inf.
 This is a Boolean algebra of set descriptions, not a sigma-algebra; the
 failure argument only involves singletons and complements, so nothing
 is lost at this finitary scale.
+
+The descriptions, and the fuzz suite's ``FuzzConfig``, are ``_Fields``
+classes: equality, hash and repr come from their ``__slots__``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotInAlgebraError, check_int_between
@@ -54,7 +58,31 @@ FINITE = "finite"
 COFINITE = "cofinite"
 
 
-class HalfSet:
+class _Fields:
+    """Base of a value class whose ``__slots__`` are its fields: equal only
+    to the same class with equal fields, hashed as the field tuple, and
+    written ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class HalfSet(_Fields):
     """One half of a description: finite ids, or the half minus ids."""
 
     __slots__ = ("kind", "ids")
@@ -67,17 +95,6 @@ class HalfSet:
             raise ValueError("point indices must be nonnegative")
         self.kind = kind
         self.ids = canon
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.kind == other.kind and self.ids == other.ids
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.ids))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(kind={self.kind!r}, ids={self.ids!r})"
 
     @property
     def is_empty(self) -> bool:
@@ -111,15 +128,11 @@ class HalfSet:
         return self.ids[0] if self.kind == FINITE else self.fresh_id()
 
 
-def _empty_half() -> HalfSet:
-    return HalfSet(FINITE, ())
+_EMPTY_HALF = HalfSet(FINITE, ())
+_FULL_HALF = HalfSet(COFINITE, ())
 
 
-def _full_half() -> HalfSet:
-    return HalfSet(COFINITE, ())
-
-
-class SymbolicSet:
+class SymbolicSet(_Fields):
     """A set description: intersection with each of the two halves."""
 
     __slots__ = ("b_part", "bc_part")
@@ -128,39 +141,26 @@ class SymbolicSet:
         self.b_part = b_part
         self.bc_part = bc_part
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.b_part == other.b_part and self.bc_part == other.bc_part
-
-    def __hash__(self) -> int:
-        return hash((self.b_part, self.bc_part))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(b_part={self.b_part!r}, bc_part={self.bc_part!r})"
-        )
-
     @classmethod
     def empty(cls) -> "SymbolicSet":
-        return cls(_empty_half(), _empty_half())
+        return cls(_EMPTY_HALF, _EMPTY_HALF)
 
     @classmethod
     def whole(cls) -> "SymbolicSet":
-        return cls(_full_half(), _full_half())
+        return cls(_FULL_HALF, _FULL_HALF)
 
     @classmethod
     def distinguished_half(cls) -> "SymbolicSet":
         """The half itself; representable but outside the algebra."""
-        return cls(_full_half(), _empty_half())
+        return cls(_FULL_HALF, _EMPTY_HALF)
 
     @classmethod
     def singleton_b(cls, i: int) -> "SymbolicSet":
-        return cls(HalfSet(FINITE, (i,)), _empty_half())
+        return cls(HalfSet(FINITE, (i,)), _EMPTY_HALF)
 
     @classmethod
     def singleton_bc(cls, i: int) -> "SymbolicSet":
-        return cls(_empty_half(), HalfSet(FINITE, (i,)))
+        return cls(_EMPTY_HALF, HalfSet(FINITE, (i,)))
 
     @property
     def is_empty(self) -> bool:
@@ -286,9 +286,10 @@ def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
     Two-step case analysis, each step computed on concrete sets, plus a
     seeded fuzz pass over random algebra members looking for a
     counterexample.  Returns a machine-readable report; raises
-    InvalidConfigError unless ``trials`` is an int (not a bool) in
-    1..MAX_HAHN_TRIALS.
+    InvalidConfigError unless ``seed`` is an int (not a bool) in
+    0..2**64 - 1 and ``trials`` one in 1..MAX_HAHN_TRIALS.
     """
+    check_int_between(seed, 0, (1 << 64) - 1, "seed must be a 64-bit unsigned integer")
     check_int_between(
         trials, 1, MAX_HAHN_TRIALS, f"trials must be between 1 and {MAX_HAHN_TRIALS}"
     )
@@ -301,7 +302,7 @@ def hahn_failure_check(seed: int = 0, trials: int = 10000) -> dict:
     pinned = [
         SymbolicSet.empty(),
         SymbolicSet.singleton_b(0),
-        SymbolicSet(HalfSet(FINITE, (1, 2)), _empty_half()),
+        SymbolicSet(HalfSet(FINITE, (1, 2)), _EMPTY_HALF),
     ]
     for trial in range(trials):
         c = pinned[trial] if trial < len(pinned) else random_algebra_member(rng)

@@ -156,6 +156,14 @@ def test_maximalize_with_fill(files, capsys):
     assert out["error"]["code"] == "FillConflict"
 
 
+@pytest.mark.parametrize("fill", ["b=1,b=2", "b=+inf,b=+inf"])
+def test_repeated_fill_atom_exits_1(files, capsys, fill):
+    # b=1,b=2 kept b=2 and exited 0
+    code, out = run(capsys, "maximalize", files["partial"], "--fill", fill)
+    assert code == 1
+    assert out["error"] == {"code": "Schema", "detail": "--fill: duplicate atom 'b'"}
+
+
 def test_musxi_and_rn(files, capsys):
     code, out = run(capsys, "musxi", files["rv"], files["prob"], "--no-banner")
     assert code == 0
@@ -281,6 +289,18 @@ def test_trials_past_the_bound_exit_2(capsys, command, bound):
     assert out["error"] == {
         "code": "InvalidConfig",
         "detail": f"trials must be between 1 and {bound}",
+    }
+
+
+@pytest.mark.parametrize("command", ["fuzz", "example3"])
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_seed_outside_64_bits_exits_2(capsys, command, seed):
+    # example3 --seed -3 drew the stream of seed 3 and exited 0
+    code, out = run(capsys, command, "--seed", seed, "--no-banner")
+    assert code == 2
+    assert out["error"] == {
+        "code": "InvalidConfig",
+        "detail": "seed must be a 64-bit unsigned integer",
     }
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -146,6 +147,34 @@ def test_hahn_failure_report():
     assert all(step["checked"] > 0 for step in report["steps"])
 
 
+def test_hahn_failure_over_every_member_with_ids_below_six():
+    # the universe random_algebra_member draws from, with ids from 0..5
+    # instead of 0..9: one kind for both halves, at most four ids each
+    halves = [ids for r in range(5) for ids in combinations(range(6), r)]
+    members = [
+        SymbolicSet(HalfSet(kind, b), HalfSet(kind, bc))
+        for kind in (FINITE, COFINITE)
+        for b in halves
+        for bc in halves
+    ]
+    assert len(members) == 2 * 57**2
+    in_f_plus = []
+    for c in members:
+        plus = sym_in_f_plus(c)
+        assert plus.member == f_plus_enumeration_oracle(c)
+        assert not (plus.member and sym_in_f_minus(c.complement()).member)
+        if plus.member:
+            in_f_plus.append(c)
+    assert len(in_f_plus) == 57
+    for c in in_f_plus:
+        # the report's step 1: a finite subset of the distinguished half
+        assert c.bc_part.is_empty and c.b_part.kind == FINITE
+        # step 2: the complement holds a fresh +inf singleton
+        witness = SymbolicSet.singleton_b(c.b_part.fresh_id())
+        assert witness.is_subset(c.complement())
+        assert mu3(witness) is SymbolicValue.PLUS_INFINITY
+
+
 def test_hahn_failure_deterministic():
     assert hahn_failure_check(seed=9, trials=500) == hahn_failure_check(
         seed=9, trials=500
@@ -192,6 +221,17 @@ def test_set_descriptions_repr_equality_and_hash():
     assert s != (fin(3), fin())
     assert fin(1) != (FINITE, (1,))
     assert len({s, SymbolicSet.singleton_b(3), SymbolicSet.empty()}) == 2
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, True, "x", -3, 2**64])
+def test_failure_check_seed_must_be_a_64_bit_unsigned_int(seed):
+    # None seeded from the OS and reported "seed": null; -3 drew the
+    # stream of seed 3; the others ran
+    with pytest.raises(
+        InvalidConfigError, match="^seed must be a 64-bit unsigned integer$"
+    ):
+        hahn_failure_check(seed=seed, trials=1)
+
 
 @pytest.mark.parametrize("trials", [True, 2.5, 10.0, "5", 0, MAX_HAHN_TRIALS + 1])
 def test_failure_check_trials_must_be_an_int_in_range(trials):
