@@ -122,6 +122,46 @@ def test_validate_additivity_violation():
         validate_partial(space, [a, b, ab], {a: E(1), b: E(2), ab: E(4)})
 
 
+_ABC = FiniteSpace.discrete("abc")
+
+
+def _on_abc(values):
+    return {_ABC.set_from_points(list(points)): v for points, v in values.items()}
+
+
+@pytest.mark.parametrize(
+    "values, error, text",
+    [
+        # an additivity violation below a set that mixes the infinities
+        (
+            {"a": E(1), "b": PLUS_INF, "c": MINUS_INF, "ab": E(5), "abc": ZERO},
+            AdditivityViolationError,
+            "value 5 of 'a,b' differs from its atom sum +inf",
+        ),
+        # a set that mixes the infinities below a set with a missing atom
+        (
+            {"a": PLUS_INF, "b": MINUS_INF, "ab": ZERO, "abc": ZERO},
+            MixedInfinitiesInDomainSetError,
+            "atoms of 'a,b' carry both +inf and -inf",
+        ),
+        # a set with a missing atom before an additivity violation in mask order
+        (
+            {"a": E(1), "c": E(2), "ab": E(1), "ac": E(4)},
+            NotTraceClosedError,
+            "set 'a,b' requires atom 'b', whose value is not derivable "
+            "from the supplied sets",
+        ),
+    ],
+)
+def test_validate_reports_the_first_failing_set_in_mask_order(values, error, text):
+    # each input has two faults on different sets; the set of the lower
+    # mask is reported, whatever its fault
+    values = _on_abc(values)
+    with pytest.raises(error) as caught:
+        validate_partial(_ABC, values.keys(), values)
+    assert str(caught.value) == text
+
+
 def test_validate_nonzero_empty_set():
     space = FiniteSpace.discrete("ab")
     with pytest.raises(AdditivityViolationError):
