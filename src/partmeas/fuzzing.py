@@ -6,9 +6,9 @@ global state, so trials could run concurrently without changing any
 result.  Generated values favour small rationals so counterexamples stay
 readable.
 
-Bounded integer draws go through :func:`_below`, which reproduces the
-``getrandbits`` rejection sampling of ``Random.randrange`` draw for draw,
-and value kinds are one ``random()`` compared the way ``Random.choices``
+Bounded integer draws go through :func:`symbolic._below`, which
+reproduces the ``getrandbits`` rejection sampling of ``Random.randrange``
+draw for draw, and value kinds are one ``random()`` compared the way ``Random.choices``
 bisects it, so the streams are those of the ``random`` calls they
 replace.  ``tests/test_fuzzing.py`` guards this with
 ``test_seeded_builders_draw_a_fixed_stream`` (every value the builders
@@ -22,9 +22,23 @@ when it fails.
 No property builds a ``value_table``.  A property reads only the sets
 its check needs, through the vector's own ``in_domain_mask`` and
 ``mask_sum`` (:func:`_vector_value`), or through ``evaluate`` where that
-method is what it checks.  The three that walk the submasks of many sets
-(up to 3^k reads) first read each set once into a list
+method is what it checks.  The ones that walk the submasks of many sets
+(up to 3^k pairs) first read each set once into a list
 (:func:`_vector_table`).
+
+The walks over many values compare them in exact integer arithmetic,
+not through ``ExtReal``'s operators (``tests/test_extreal.py`` and the
+arithmetic properties check those).  The image rule: a list of values
+is scaled once to the lcm D of its finite denominators, so a finite n/d
+becomes the int n * (D // d); +inf and -inf become ``inf`` and ``-inf``
+for an int ``inf`` more than twice every finite image in size.  Images
+then compare as their values do, two finite images add as their values
+do, and :func:`_image_sum` adds any two images, raising
+:class:`IllPosedError` on +inf and -inf as ``ExtReal`` does.  A check of
+v = p - q on one set cross-multiplies the three numerators and
+denominators (:func:`_is_difference`).  The nonnegative class over all
+2^k sets is one down-closure pass over the read values
+(:func:`_nonnegative_class`), not a walk of every submask of every set.
 
 ``FuzzConfig`` takes its equality, hash and repr from its ``__slots__``
 through ``symbolic._Fields``.
@@ -80,6 +94,7 @@ from .spaces import (
 from .symbolic import (
     SymbolicSet,
     SymbolicValue,
+    _below,
     _Fields,
     f_plus_enumeration_oracle,
     mu3,
@@ -167,25 +182,6 @@ class PropertyViolation(Exception):
 
 # ---------------------------------------------------------------------------
 # random builders
-
-
-def _below(rng: random.Random, n: int) -> int:
-    """A uniform int in [0, n), the value and the draws of ``rng.randrange(n)``.
-
-    This is the rejection sampling of ``Random._randbelow_with_getrandbits``
-    (the same on Python 3.10-3.13): draw ``n.bit_length()`` bits until the
-    result is below n.  Calling ``getrandbits`` directly skips
-    ``randint``/``randrange``/``choice``'s argument handling.
-    """
-    if n <= 0:
-        # getrandbits(0) is always 0, so the loop below would never end
-        raise ValueError("empty range for a draw")
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def _random_finite(rng: random.Random) -> ExtReal:
@@ -312,6 +308,83 @@ def _vector_table(mu: AtomVector) -> list[ExtReal | None]:
     return list(map(_vector_value(mu), range(1 << mu.space.n_atoms)))
 
 
+def _nonnegative_class(table: list[ExtReal | None]) -> list[bool]:
+    """Which masks of a :func:`_vector_table` are in the nonnegative
+    class: ``_signed_throughout(table.__getitem__, mask, 1)`` for every
+    mask, in one pass.
+
+    Masks are visited in increasing order, so each one-atom-smaller
+    submask of a mask is decided before it.  A mask is in the class when
+    its value is defined and >= 0 and each of those submasks is in the
+    class, which by induction covers every submask: k * 2^k lookups
+    instead of 3^k reads.
+    """
+    member = [False] * len(table)
+    for mask, v in enumerate(table):
+        if v is None or v.sign() < 0:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if not member[mask ^ low]:
+                break
+            rest ^= low
+        else:
+            member[mask] = True
+    return member
+
+
+def _images(values: list[ExtReal]) -> tuple[list[int], int]:
+    """The integer images of ``values`` and the image of +inf.
+
+    A finite n/d becomes n * (D // d) for the lcm D of the finite
+    denominators; +inf and -inf become ``inf`` and ``-inf`` for an
+    ``inf`` more than twice every finite image in size.  Images compare
+    as their values do, and the sum of two finite images is the image of
+    the sum of their values.
+    """
+    denom = 1
+    for v in values:
+        d = v._d
+        if d is not None and denom % d:
+            denom = lcm(denom, d)
+    images = [0 if v._d is None else v._n * (denom // v._d) for v in values]
+    inf = 2 * max(map(abs, images)) + 1
+    for i, v in enumerate(values):
+        if v._d is None:
+            images[i] = inf * v._kind
+    return images, inf
+
+
+def _image_sum(a: int, b: int, inf: int) -> int:
+    """The image of the sum of the values of images ``a`` and ``b``.
+
+    Raises IllPosedError, with ``ExtReal``'s text, when one is +inf and
+    the other -inf."""
+    if a == inf or a == -inf:
+        if b == -a:
+            raise IllPosedError("+inf + -inf is not well-posed")
+        return a
+    if b == inf or b == -inf:
+        return b
+    return a + b
+
+
+def _is_difference(v: ExtReal, p: ExtReal, q: ExtReal) -> bool:
+    """Is v = p - q?
+
+    With all three finite, the numerators and denominators are
+    cross-multiplied.  Otherwise only the kinds (-1, 0, 1 for -inf,
+    finite, +inf) decide, as images with ``inf`` 1 under
+    :func:`_image_sum`, which raises IllPosedError when p and q are the
+    same infinity.
+    """
+    vd, pd, qd = v._d, p._d, q._d
+    if vd and pd and qd:
+        return v._n * pd * qd == (p._n * qd - q._n * pd) * vd
+    return v._kind == _image_sum(p._kind, -q._kind, 1)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic properties
 
@@ -434,21 +507,31 @@ def _prop_measure_additivity(rng, cfg):
     space = _random_space(rng, cfg.max_atoms)
     m = _random_total_measure(rng, space)
     k = space.n_atoms
-    # every set is evaluated once; each disjoint pair compares those values
-    values = [m.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
-    for mask, v in enumerate(values):
+    # every set is evaluated once; each disjoint pair compares the images
+    # of those values.  An int sum that matches a nonzero image is right
+    # (one from +inf and -inf is 0), so only the other pairs need
+    # _image_sum, which also raises where ExtReal's sum would.
+    image, inf = _images(
+        [m.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
+    )
+    for mask, v in enumerate(image):
         for sub in iter_submasks(space.full_mask ^ mask):
-            if values[mask | sub] != v + values[sub]:
+            w = image[mask | sub]
+            if (w != v + image[sub] or not w) and w != _image_sum(
+                v, image[sub], inf
+            ):
                 _fail(
                     f"additivity failed on {MeasurableSet(space, mask).key()!r}"
                     f" and {MeasurableSet(space, sub).key()!r}"
                 )
-    if PLUS_INF in values and MINUS_INF in values:
+    if inf in image and -inf in image:
         _fail("a measure attained both +inf and -inf")
     pos = _random_positive_measure(rng, space)
-    pos_values = [pos.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
-    for mask, v in enumerate(pos_values):
-        if not pos_values[mask & _below(rng, 1 << k)] <= v:
+    pos_image, _ = _images(
+        [pos.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
+    )
+    for mask, v in enumerate(pos_image):
+        if not pos_image[mask & _below(rng, 1 << k)] <= v:
             _fail("positive measure is not monotone")
 
 
@@ -500,7 +583,7 @@ def _prop_restriction_validates(rng, cfg):
 def _prop_disjoint_family_sums(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = _vector_table(mu)
-    fp = [m for m in range(len(table)) if _signed_throughout(table.__getitem__, m, 1)]
+    fp = [m for m, member in enumerate(_nonnegative_class(table)) if member]
     u = fp[_below(rng, len(fp))]
 
     def random_partition() -> list[int]:
@@ -520,13 +603,13 @@ def _prop_disjoint_family_sums(rng, cfg):
 
 def _prop_union_closure(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    table = _vector_table(mu)
-    fp = {m for m in range(len(table)) if _signed_throughout(table.__getitem__, m, 1)}
-    members = rng.sample(sorted(fp), min(len(fp), _below(rng, 4) + 1))
+    member = _nonnegative_class(_vector_table(mu))
+    fp = [m for m, ok in enumerate(member) if ok]
+    members = rng.sample(fp, min(len(fp), _below(rng, 4) + 1))
     union = 0
     for m in members:
         union |= m
-    if union not in fp:
+    if not member[union]:
         _fail(f"union of nonnegative-class members left the class: {union:b}", mu=mu)
 
 
@@ -538,7 +621,7 @@ def _prop_jordan_identity(rng, cfg):
     for mask in range(1 << mu.space.n_atoms):
         v = value(mask)
         if v is not None:
-            if v != plus(mask) - minus(mask):
+            if not _is_difference(v, plus(mask), minus(mask)):
                 _fail(f"decomposition identity failed on mask {mask:b}", mu=mu)
         elif plus(mask) != PLUS_INF or minus(mask) != PLUS_INF:
             _fail(
@@ -696,7 +779,7 @@ def _prop_diff_measures(rng, cfg):
         well_posed = not (v1 == PLUS_INF and v2 == PLUS_INF)
         if d.in_domain_mask(mask) != well_posed:
             _fail(f"difference domain is wrong on {MeasurableSet(space, mask).key()!r}")
-        if well_posed and d.mask_sum(mask) != v1 - v2:
+        if well_posed and not _is_difference(d.mask_sum(mask), v1, v2):
             _fail(f"difference value is wrong on {MeasurableSet(space, mask).key()!r}")
     shared_inf = any(
         m1.atom_values[i] == PLUS_INF and m2.atom_values[i] == PLUS_INF

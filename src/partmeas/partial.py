@@ -239,30 +239,32 @@ def validate_partial(
     if not vmap:
         raise EmptyDomainError("a partial measure needs at least one domain set")
 
-    pm = PartialMeasure(
-        space, vmap, [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
-    )
+    # every set is checked on the plain atom vector first, so a rejected
+    # input never pays for the domain's maximal sets
+    atom_values = [vmap.get(1 << i, ZERO) for i in range(space.n_atoms)]
+    atoms = AtomVector(space, atom_values)
     # the supplied atoms: distinct single bits, so their sum is their union
     given = sum(m for m in vmap if m.bit_count() == 1)
     for mask in sorted(vmap):
-        a = MeasurableSet(space, mask)
         missing = mask & ~given
         if missing:
             raise NotTraceClosedError(
-                f"set {a.key()!r} requires atom "
+                f"set {MeasurableSet(space, mask).key()!r} requires atom "
                 f"{space.atom_label((missing & -missing).bit_length() - 1)!r}, "
                 "whose value is not derivable from the supplied sets"
             )
-        if not AtomVector.in_domain_mask(pm, mask):
+        if not atoms.in_domain_mask(mask):
             raise MixedInfinitiesInDomainSetError(
-                f"atoms of {a.key()!r} carry both +inf and -inf"
+                f"atoms of {MeasurableSet(space, mask).key()!r} "
+                "carry both +inf and -inf"
             )
-        total = pm.mask_sum(mask)
+        total = atoms.mask_sum(mask)
         if vmap[mask] != total:
             raise AdditivityViolationError(
-                f"value {vmap[mask]} of {a.key()!r} differs from its atom sum {total}"
+                f"value {vmap[mask]} of {MeasurableSet(space, mask).key()!r} "
+                f"differs from its atom sum {total}"
             )
-    return pm
+    return PartialMeasure(space, vmap, atom_values)
 
 
 def _finite_sum_table(values: Sequence[ExtReal], k: int) -> list[Fraction]:

@@ -265,12 +265,43 @@ def f_plus_enumeration_oracle(c: SymbolicSet) -> bool:
     return True
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), the value and the draws of ``rng.randrange(n)``.
+
+    This is the rejection sampling of ``Random._randbelow_with_getrandbits``
+    (the same on Python 3.10-3.13): draw ``n.bit_length()`` bits until the
+    result is below n.  Calling ``getrandbits`` directly skips
+    ``randint``/``randrange``/``choice``/``sample``'s argument handling.
+    """
+    if n <= 0:
+        # getrandbits(0) is always 0, so the loop below would never end
+        raise ValueError("empty range for a draw")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_ids(rng: random.Random) -> tuple[int, ...]:
+    # rng.sample(range(10), rng.randint(0, 4)), draw for draw: the count,
+    # then the pool method Random.sample uses for a population this small
+    pool = list(range(10))
+    ids = []
+    for i in range(_below(rng, 5)):
+        j = _below(rng, 10 - i)
+        ids.append(pool[j])
+        pool[j] = pool[9 - i]
+    return tuple(ids)
+
+
 def random_algebra_member(rng: random.Random) -> SymbolicSet:
     """A random member of the modelled algebra (both halves same kind),
     each half listing up to four explicit indices from 0..9."""
     kind = FINITE if rng.random() < 0.5 else COFINITE
-    ids_b = tuple(rng.sample(range(10), rng.randint(0, 4)))
-    ids_bc = tuple(rng.sample(range(10), rng.randint(0, 4)))
+    ids_b = _random_ids(rng)
+    ids_bc = _random_ids(rng)
     return SymbolicSet(HalfSet(kind, ids_b), HalfSet(kind, ids_bc))
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,12 +9,18 @@ from partmeas import (
     ExtReal,
     FiniteSpace,
     MINUS_INF,
+    PLUS_INF,
     MaximalPartialMeasure,
+    extreal,
     fuzzing,
     jsonio,
 )
 from partmeas.density import ess_sup, is_abs_continuous, mu_xi
-from partmeas.errors import InvalidConfigError, MixedInfinitiesInDomainSetError
+from partmeas.errors import (
+    IllPosedError,
+    InvalidConfigError,
+    MixedInfinitiesInDomainSetError,
+)
 from partmeas.extreal import ZERO
 from partmeas.fuzzing import (
     MAX_FUZZ_TRIALS,
@@ -157,6 +165,76 @@ def test_below_draws_what_randrange_draws():
         assert ours.getstate() == theirs.getstate()
     with pytest.raises(ValueError):
         fuzzing._below(ours, 0)
+
+
+# every kind of value, with denominators 1, 2 and 3
+_POOL = [
+    MINUS_INF,
+    ExtReal(Fraction(-3, 2)),
+    ExtReal(-1),
+    ZERO,
+    ExtReal(Fraction(1, 3)),
+    ExtReal(2),
+    PLUS_INF,
+]
+_ILL_POSED = r"^\+inf \+ -inf is not well-posed$"
+
+
+def test_images_compare_and_add_as_extreal_does():
+    images, inf = fuzzing._images(_POOL)
+    # the finite values over the lcm 6 of their denominators
+    assert images[1:-1] == [-9, -6, 0, 2, 12]
+    assert images[0] == -inf and images[-1] == inf
+    for (a, x), (b, y) in product(zip(_POOL, images), repeat=2):
+        assert (x == y) == (a == b)
+        assert (x <= y) == (a <= b)
+        # a - b is a + (-b), and -y is the image of -b
+        for op, z in ((a.__add__, y), (a.__sub__, -y)):
+            try:
+                expected = op(b)
+            except IllPosedError:
+                with pytest.raises(IllPosedError, match=_ILL_POSED):
+                    fuzzing._image_sum(x, z, inf)
+                continue
+            total = fuzzing._image_sum(x, z, inf)
+            if expected.is_finite:
+                assert total == expected.as_fraction() * 6
+            else:
+                assert total == inf * expected.sign()
+
+
+def test_is_difference_is_extreal_subtraction():
+    for v, p, q in product(_POOL, repeat=3):
+        try:
+            expected = v == p - q
+        except IllPosedError:
+            with pytest.raises(IllPosedError, match=_ILL_POSED):
+                fuzzing._is_difference(v, p, q)
+            continue
+        assert fuzzing._is_difference(v, p, q) == expected
+    # the cross-multiplication keeps each value's own denominator
+    sixth, half, third = (ExtReal(Fraction(1, d)) for d in (6, 2, 3))
+    assert fuzzing._is_difference(sixth, half, third)
+    assert not fuzzing._is_difference(sixth, third, half)
+    assert fuzzing._is_difference(half, third, -sixth)
+
+
+def test_nonnegative_class_is_the_literal_class():
+    values = [MINUS_INF, ExtReal(-1), ZERO, ExtReal(1), PLUS_INF]
+    for k in (1, 2, 3):
+        space = FiniteSpace.discrete("abc"[:k])
+        for atoms in product(values, repeat=k):
+            table = fuzzing._vector_table(MaximalPartialMeasure(space, atoms))
+            assert fuzzing._nonnegative_class(table) == [
+                fuzzing._signed_throughout(table.__getitem__, m, 1)
+                for m in range(1 << k)
+            ]
+    # tables no atom vector gives, as a wrong library might read them
+    for table in product([None, ExtReal(-1), ZERO, ExtReal(1)], repeat=4):
+        table = list(table)
+        assert fuzzing._nonnegative_class(table) == [
+            fuzzing._signed_throughout(table.__getitem__, m, 1) for m in range(4)
+        ]
 
 
 def test_instances_reach_every_size_up_to_the_cap():
@@ -363,6 +441,37 @@ def _one_part_finite_outside_the_domain(mu):
     return d._replace(mu_minus=_FiniteBesidePlusInf(d.mu_minus, d.mu_plus))
 
 
+class _PairsReadTheirDifference(fuzzing.Measure):
+    # a set of two finite atoms of different values reads the first
+    # atom's value minus the second's
+    __slots__ = ()
+
+    def evaluate(self, a):
+        if a.mask.bit_count() == 2:
+            low = a.mask & -a.mask
+            first, second = self.mask_sum(low), self.mask_sum(a.mask ^ low)
+            if first.is_finite and second.is_finite and first != second:
+                return first - second
+        return super().evaluate(a)
+
+
+class _OppositeInfinitiesCancel(fuzzing.Measure):
+    # when the first atom is infinite, an infinite atom at an odd index
+    # reads the opposite infinity, and a set holding both reads 0
+    __slots__ = ()
+
+    def evaluate(self, a):
+        flip = not self.atom_values[0].is_finite
+        values = [
+            -v if flip and i % 2 and not v.is_finite else v
+            for i, v in enumerate(self.atom_values)
+            if a.mask >> i & 1
+        ]
+        if PLUS_INF in values and MINUS_INF in values:
+            return ZERO
+        return extreal.sum(values)
+
+
 WRONG_ANSWERS = [
     (
         "total_measure_hahn_split",
@@ -496,6 +605,20 @@ WRONG_ANSWERS = [
         9,
         _patch("diff_measures", _finite_sets_only),
         "difference domain is wrong on",
+    ),
+    (
+        # the first wrong pair, {b} and {d}, reads 3 - 4
+        "measure_additivity_and_monotonicity",
+        13,
+        _patch("Measure", _PairsReadTheirDifference),
+        "additivity failed on 'b' and 'd'",
+    ),
+    (
+        # the sum of +inf and -inf is ill-posed, though their union reads 0
+        "measure_additivity_and_monotonicity",
+        1,
+        _patch("Measure", _OppositeInfinitiesCancel),
+        "unexpected IllPosedError: +inf + -inf is not well-posed",
     ),
 ]
 

@@ -19,6 +19,7 @@ from partmeas.symbolic import (
     COFINITE,
     FINITE,
     MAX_HAHN_TRIALS,
+    _random_ids,
     random_algebra_member,
 )
 
@@ -195,6 +196,25 @@ def test_pinned_cases_in_failure_check():
     for c in (SymbolicSet.empty(), SymbolicSet(fin(1), fin())):
         assert sym_in_f_plus(c).member
         assert not sym_in_f_minus(c.complement()).member
+
+
+def test_random_members_draw_what_sample_and_randint_draw():
+    # the member a seed gives, and the generator state after it, are those
+    # of the random calls the builder replaced
+    def with_stdlib(rng):
+        kind = FINITE if rng.random() < 0.5 else COFINITE
+        ids_b = tuple(rng.sample(range(10), rng.randint(0, 4)))
+        ids_bc = tuple(rng.sample(range(10), rng.randint(0, 4)))
+        return SymbolicSet(HalfSet(kind, ids_b), HalfSet(kind, ids_bc))
+
+    for seed in range(500):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert random_algebra_member(ours) == with_stdlib(theirs)
+        # the ids in the order they are drawn, before HalfSet sorts them
+        drawn = theirs.sample(range(10), theirs.randint(0, 4))
+        assert _random_ids(ours) == tuple(drawn)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_half_normalization():
