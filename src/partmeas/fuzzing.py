@@ -22,13 +22,14 @@ when it fails.
 No property builds a ``value_table``.  A property reads only the sets
 its check needs, through the vector's own ``in_domain_mask`` and
 ``mask_sum`` (:func:`_vector_value`), or through ``evaluate`` where that
-method is what it checks.  The ones that walk the submasks of many sets
-(up to 3^k pairs) first read each set once into a list
-(:func:`_vector_table`).
+method is what it checks.  A property that needs every set's value
+reads each set once into a list (:func:`_vector_table`, or ``evaluate``
+over every mask) and then walks the list.
 
-The walks over many values compare them in exact integer arithmetic,
-not through ``ExtReal``'s operators (``tests/test_extreal.py`` and the
-arithmetic properties check those).  The image rule: a list of values
+The additivity, decomposition-identity and difference properties
+compare the values they read in exact integer arithmetic, not through
+``ExtReal``'s operators (``tests/test_extreal.py`` and the arithmetic
+properties check those).  The image rule: a list of values
 is scaled once to the lcm D of its finite denominators, so a finite n/d
 becomes the int n * (D // d); +inf and -inf become ``inf`` and ``-inf``
 for an int ``inf`` more than twice every finite image in size.  Images
@@ -124,7 +125,7 @@ _POSITIVE_INF_CHANCE = 0.15
 _WEIGHT_DENOM = lcm(*range(1, 9))
 
 # The largest FuzzConfig.trials (the fuzz command's --trials): 100 times
-# the default, about 17 s at max_atoms=6 on a 2-CPU VM (Python 3.11).
+# the default, about 15 s at max_atoms=6 on a 2-CPU VM (Python 3.11).
 MAX_FUZZ_TRIALS = 10_000
 
 

@@ -306,7 +306,7 @@ def random_algebra_member(rng: random.Random) -> SymbolicSet:
 
 
 # The largest ``trials`` of hahn_failure_check (the example3 command's
-# --trials): 100 times the default, about 21 s on a 2-CPU VM (Python 3.11).
+# --trials): 100 times the default, about 14 s on a 2-CPU VM (Python 3.11).
 MAX_HAHN_TRIALS = 1_000_000
 
 

@@ -3,16 +3,18 @@
 Usage: python3 tools/mutate.py MODULE TEST... [--workdir DIR]
   e.g. python3 tools/mutate.py src/partmeas/measure.py tests/test_measure.py
 
-Not a test and not a CI step: it runs the given tests once per mutant.
-Each mutant flips one operator of MODULE: a comparison (< and <=, > and
->=, == and !=, in and not in, is and is not), + and -, & and |, and and
-or, or drops one `not`.  Type annotations are left alone.  The tests run
-in a copy of src/, tests/ and pyproject.toml made under --workdir (the
+Not a test: it runs the given tests once per mutant, too slowly for
+every push, so CI runs it only when dispatched by hand.  Each mutant
+flips one operator of MODULE: a comparison (< and <=, > and >=, == and
+!=, in and not in, is and is not), + and -, & and |, and and or, or
+drops one `not`.  Type annotations are left alone.  The tests run in a
+copy of src/, tests/ and pyproject.toml made under --workdir (the
 system's temporary directory by default), so the checkout is never
 changed.  A mutant survives when the tests pass; a run longer than
 TIMEOUT_S kills it.  Each test run is a process group of its own, killed
 when it ends, times out, or the mutator stops on SIGINT or SIGTERM.
-Prints each survivor's line and the counts.
+Prints each survivor's line and the counts, and exits 1 when a survivor
+is not an equivalent mutant listed in mutants_allow.txt.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ALLOW = ROOT / "tools" / "mutants_allow.txt"
 TIMEOUT_S = 300.0  # kills mutants that loop forever
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -84,6 +87,17 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
+def listed(path: Path, text: str, change: str) -> bool:
+    """Does an entry of mutants_allow.txt cover this survivor?"""
+    # an entry is "file | source prefix | change | reason"; no line numbers
+    for entry in ALLOW.read_text(encoding="utf-8").splitlines():
+        if entry.strip() and not entry.startswith("#"):
+            name, prefix, op, _ = (part.strip() for part in entry.split("|", 3))
+            if name == path.name and text.startswith(prefix) and op == change:
+                return True
+    return False
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path)
@@ -98,7 +112,7 @@ def main() -> int:
     lines = source.splitlines()
     counter = Mutator()
     counter.visit(ast.parse(source))
-    survived = 0
+    survived = unlisted = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(tmp) / name)
@@ -134,10 +148,14 @@ def main() -> int:
             if passes():
                 survived += 1
                 line, change = mutator.hit
-                print(f"{module}:{line}: {change} survived: {lines[line - 1].strip()}",
-                      flush=True)
-    print(f"{module}: {counter.sites} mutants, {survived} survived")
-    return 0
+                text = lines[line - 1].strip()
+                known = listed(module, text, change)
+                unlisted += not known
+                print(f"{module}:{line}: {change} survived"
+                      f"{' (listed)' if known else ''}: {text}", flush=True)
+    print(f"{module}: {counter.sites} mutants, {survived} survived, "
+          f"{unlisted} not listed in {ALLOW.relative_to(ROOT)}")
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":
