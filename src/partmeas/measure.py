@@ -128,8 +128,6 @@ class AtomVector:
             raise NotInDomainError(f"{a!r} is outside the domain")
         return self.mask_sum(a.mask)
 
-    __call__ = evaluate
-
     def nonneg_mask(self) -> int:
         """Mask of the atoms with value >= 0."""
         return sum(1 << i for i, v in enumerate(self.atom_values) if v.sign() >= 0)

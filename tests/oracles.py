@@ -1,14 +1,44 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""The paper's literal definitions, as oracles independent of partmeas.
 
-Everything here recomputes results from first principles: plain set
-closure for algebras, linear scans with explicit infinity flags for
-evaluations.  Nothing reuses the library's lookup tables or class
-machinery, so agreement between the two routes is informative.
+Values follow ``bench/oracle.py``, whose helpers this module reuses: a
+value is a ``Fraction`` or one of the strings "+inf" and "-inf", a set
+is an atom mask, and a table lists every set's value by mask, None where
+the atom sum mixes +inf and -inf.  Nothing here imports partmeas; a test
+turns a library value into this form with ``plain``.  The library
+computes the same results in closed form, so agreement between the two
+routes is informative.
 """
 
-from fractions import Fraction
+import sys
+from pathlib import Path
 
-from partmeas import ExtReal, MINUS_INF, PLUS_INF, ZERO
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+# the tests import these from here too, and the expected CLI output from bench
+import oracle as bench  # noqa: E402,F401
+from oracle import NEG, POS, ZERO, atom_sum, neg, order, parts, submasks, table  # noqa: E402,F401
+
+
+def plain(x):
+    """A library value in this module's form; None stays None."""
+    if x is None:
+        return None
+    if x.is_finite:
+        return x.as_fraction()
+    return POS if x.sign() > 0 else NEG
+
+
+def sign(v) -> int:
+    """-1, 0 or 1; the infinities count with their sign."""
+    if isinstance(v, str):
+        return 1 if v == POS else -1
+    n = v.numerator
+    return (n > 0) - (n < 0)
+
+
+def total(values):
+    """The sum of a list of values; None when it mixes +inf and -inf."""
+    return atom_sum(values, (1 << len(values)) - 1)
 
 
 def closure_of_family(points, generators):
@@ -42,157 +72,59 @@ def atoms_of_closed_family(family):
     }
 
 
-def eval_scratch(values, mask):
-    """Atom sum over ``mask`` from a raw value vector; None when ill-posed."""
-    total = Fraction(0)
-    pos = neg = False
-    for i, v in enumerate(values):
-        if not mask >> i & 1:
-            continue
-        if v == PLUS_INF:
-            pos = True
-        elif v == MINUS_INF:
-            neg = True
-        else:
-            total += v.as_fraction()
-    if pos and neg:
-        return None
-    if pos:
-        return PLUS_INF
-    if neg:
-        return MINUS_INF
-    return ExtReal(total)
-
-
-def pos_eval(values, mask):
-    """Atom sum for a vector with no -inf entries (always well-posed)."""
-    total = Fraction(0)
-    for i, v in enumerate(values):
-        if not mask >> i & 1:
-            continue
-        if v == PLUS_INF:
-            return PLUS_INF
-        total += v.as_fraction()
-    return ExtReal(total)
-
-
-def submasks(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def is_f_plus_scratch(values, mask):
-    """Membership in the nonnegative class, recomputed from scratch."""
-    if eval_scratch(values, mask) is None:
-        return False
-    for sub in submasks(mask):
-        v = eval_scratch(values, sub)
-        if v is None or v.sign() < 0:
-            return False
-    return True
-
-
-def is_f_minus_scratch(values, mask):
-    if eval_scratch(values, mask) is None:
-        return False
-    for sub in submasks(mask):
-        v = eval_scratch(values, sub)
-        if v is None or v.sign() > 0:
-            return False
-    return True
-
-
-def brute_f_plus(values, n_atoms):
-    return [m for m in range(1 << n_atoms) if is_f_plus_scratch(values, m)]
-
-
-def brute_f_minus(values, n_atoms):
-    return [m for m in range(1 << n_atoms) if is_f_minus_scratch(values, m)]
-
-
-def quasi_integrable(xi_values, probs, mask):
-    """Is the positive or the negative part of the weighted atom sum finite?"""
-    pos_infinite = neg_infinite = False
-    for i in range(len(xi_values)):
-        if not mask >> i & 1:
-            continue
-        p = probs[i]
-        v = xi_values[i]
-        if p == 0:
-            continue
-        if v == PLUS_INF:
-            pos_infinite = True
-        elif v == MINUS_INF:
-            neg_infinite = True
-    return not (pos_infinite and neg_infinite)
-
-
 # ---------------------------------------------------------------------------
-# the literal definitions of the decomposition, as the paper states them;
-# the library computes the same results in closed form.  They read values
-# from a table indexed by mask: scratch_table below, or the library's
-# value_table where speed matters (that table is itself checked against
-# eval_scratch)
+# the literal definitions of the decomposition, as the paper states them
 
 
-def scratch_table(values, n_atoms):
-    """Values of every set by mask, recomputed from scratch; None if ill-posed."""
-    return [eval_scratch(values, m) for m in range(1 << n_atoms)]
+def sign_classes(tab):
+    """F+ and F-, each in mask order: the domain sets none of whose
+    subsets has a negative (for F-, a positive) value.
 
-
-def family_masks(table, plus):
-    """Masks of domain sets all of whose subsets have sign-constrained value.
-
-    Literal brute force: every submask of every candidate is inspected.
+    Literal brute force: every submask of every domain set is inspected.
     """
-    out = []
-    for f in range(len(table)):
-        if table[f] is None:
+    signs = [None if v is None else sign(v) for v in tab]
+    plus, minus = [], []
+    for f, s in enumerate(signs):
+        if s is None:
             continue
-        good = True
-        sub = f
-        while True:
-            v = table[sub]
-            if (v < ZERO) if plus else (v > ZERO):
-                good = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & f
-        if good:
-            out.append(f)
+        seen = {signs[sub] for sub in submasks(f)}
+        if -1 not in seen:
+            plus.append(f)
+        if 1 not in seen:
+            minus.append(f)
+    return plus, minus
+
+
+def suprema(tab, family, a_masks, flip):
+    """For each A in ``a_masks``: sup over F in ``family`` of mu(A ∩ F)
+    (of -mu(A ∩ F) when ``flip``), with the first F in ``family``'s
+    order that attains it.
+
+    A ∩ F is a subset of the domain set F, so its value is defined.
+    """
+    read = {a & f for a in a_masks for f in family}
+    values = {m: neg(tab[m]) if flip else tab[m] for m in read}
+    # the sign first: it orders most pairs without comparing Fractions
+    keys = {m: (sign(v), order(v)) for m, v in values.items()}
+    out = []
+    for a in a_masks:
+        best = max(family, key=lambda f: keys[a & f])  # the first of ties
+        out.append((values[a & best], best))
     return out
 
 
-def sup_over_family(table, family, a_mask, flip):
-    """sup over F in family of mu(A ∩ F) (negated when ``flip``).
-
-    A ∩ F is a subset of the domain set F, so the lookup never hits an
-    ill-posed entry.  Ties keep the first attaining set in canonical
-    enumeration order.
-    """
-    best = None
-    best_mask = 0
-    for f in family:
-        v = table[a_mask & f]
-        if flip:
-            v = -v
-        if best is None or v > best:
-            best = v
-            best_mask = f
-    assert best is not None  # family always contains the empty set
-    return best, best_mask
+def literal_dominates(tab, candidate_tab, side):
+    """Does the candidate dominate mu (-mu when ``side`` is "minus") on
+    every domain set?"""
+    return all(
+        order(neg(v) if side == "minus" else v) <= order(c)
+        for v, c in zip(tab, candidate_tab)
+        if v is not None
+    )
 
 
-def literal_dominates(table, candidate_table, side):
-    """Does the candidate dominate mu (or -mu) on every domain set?"""
-    for mask, v in enumerate(table):
-        if v is None:
-            continue
-        if not (-v if side == "minus" else v) <= candidate_table[mask]:
-            return False
-    return True
+def quasi_integrable(xi_values, probs, mask):
+    """Is the positive or the negative part of the weighted atom sum
+    finite?  A null atom weighs nothing, whatever its value."""
+    weighted = [ZERO if p == 0 else v for v, p in zip(xi_values, probs)]
+    return atom_sum(weighted, mask) is not None

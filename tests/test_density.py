@@ -28,7 +28,7 @@ from partmeas.errors import (
 )
 from partmeas import extreal
 from partmeas.spaces import iter_bits
-from oracles import eval_scratch, quasi_integrable, submasks
+from oracles import plain, quasi_integrable, sign_classes, table
 
 E = ExtReal
 SPACE4 = FiniteSpace.discrete("abcd")
@@ -147,7 +147,9 @@ def test_mu_xi_domain_is_quasi_integrability(seed):
     m = mu_xi(xi, prob)
     for mask in range(1 << space.n_atoms):
         assert m.in_domain_mask(mask) == quasi_integrable(
-            xi.atom_values, [p.as_fraction() for p in prob.atom_values], mask
+            [plain(v) for v in xi.atom_values],
+            [plain(p) for p in prob.atom_values],
+            mask,
         )
 
 
@@ -262,13 +264,9 @@ def test_round_trip_and_split_random(seed):
             assert xi.atom_values[i] <= ZERO
 
     # the absolutely continuous case does admit a two-sided split
-    for sub in submasks(omega_plus.mask):
-        v = eval_scratch(mu.atom_values, sub)
-        assert v is not None and v >= ZERO
-    rest = omega_plus.complement()
-    for sub in submasks(rest.mask):
-        v = eval_scratch(mu.atom_values, sub)
-        assert v is not None and v <= ZERO
+    f_plus_masks, f_minus_masks = sign_classes(table([plain(v) for v in mu.atom_values]))
+    assert omega_plus.mask in f_plus_masks
+    assert omega_plus.complement().mask in f_minus_masks
 
     # a.s. uniqueness, both directions
     non_null = [i for i in range(space.n_atoms) if prob.atom_values[i] > ZERO]

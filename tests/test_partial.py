@@ -47,13 +47,16 @@ from partmeas.errors import (
 )
 from partmeas.partial import _maximal_masks
 from oracles import (
-    brute_f_minus,
-    brute_f_plus,
-    eval_scratch,
+    POS,
+    atom_sum,
     literal_dominates,
-    pos_eval,
-    scratch_table,
+    neg,
+    order,
+    plain,
+    sign_classes,
     submasks,
+    table,
+    total,
 )
 
 E = ExtReal
@@ -61,6 +64,12 @@ SPACE4 = FiniteSpace.discrete("abcd")
 MIXED = MaximalPartialMeasure(
     SPACE4, [E(Fraction(3, 2)), E(-2), PLUS_INF, MINUS_INF]
 )
+MIXED_PLAIN = [plain(v) for v in MIXED.atom_values]
+
+
+def ext(v):
+    """An oracle value as the library's, through its text form."""
+    return extreal.parse(str(v))
 
 
 def sets_of(space, *point_groups):
@@ -81,7 +90,7 @@ def test_validate_minimal_partial_measure():
 
 def test_validate_rejects_mixed_infinities_set():
     values = {
-        s: eval_scratch(MIXED.atom_values, s.mask) or ZERO
+        s: ext(atom_sum(MIXED_PLAIN, s.mask) or 0)
         for s in enumerate_sets(SPACE4)
     }
     with pytest.raises(MixedInfinitiesInDomainSetError):
@@ -92,9 +101,9 @@ def test_validate_non_mixing_domain_is_accepted():
     good_sets = [
         MeasurableSet(SPACE4, m)
         for m in range(16)
-        if eval_scratch(MIXED.atom_values, m) is not None
+        if atom_sum(MIXED_PLAIN, m) is not None
     ]
-    values = {s: eval_scratch(MIXED.atom_values, s.mask) for s in good_sets}
+    values = {s: ext(atom_sum(MIXED_PLAIN, s.mask)) for s in good_sets}
     pm = validate_partial(SPACE4, good_sets, values)
     assert len(pm.domain_sets()) == len(good_sets)
     for s in good_sets:
@@ -293,12 +302,13 @@ def test_maximalize_fill_conflict():
 
 
 def test_f_plus_examples():
+    literal_fp, literal_fm = sign_classes(table(MIXED_PLAIN))
     fp = {s.mask for s in f_plus(MIXED)}
-    assert fp == set(brute_f_plus(MIXED.atom_values, 4))
+    assert fp == set(literal_fp)
     a_c = SPACE4.set_from_points(["a", "c"]).mask
     assert fp == set(submasks(a_c))
     fm = {s.mask for s in f_minus(MIXED)}
-    assert fm == set(brute_f_minus(MIXED.atom_values, 4))
+    assert fm == set(literal_fm)
     b_d = SPACE4.set_from_points(["b", "d"]).mask
     assert fm == set(submasks(b_d))
 
@@ -337,14 +347,16 @@ def test_jordan_sup_attaining_set():
 
 def test_jordan_identity_exhaustive_on_worked_example():
     d = jordan_decompose_detailed(MIXED)
+    plus_values = [plain(v) for v in d.mu_plus.atom_values]
+    minus_values = [plain(v) for v in d.mu_minus.atom_values]
     for mask in range(16):
-        v = eval_scratch(MIXED.atom_values, mask)
-        plus = pos_eval(d.mu_plus.atom_values, mask)
-        minus = pos_eval(d.mu_minus.atom_values, mask)
+        v = atom_sum(MIXED_PLAIN, mask)
+        plus = atom_sum(plus_values, mask)
+        minus = atom_sum(minus_values, mask)
         if v is not None:
-            assert v == plus - minus
+            assert v == total([plus, neg(minus)])
         else:
-            assert plus == PLUS_INF and minus == PLUS_INF
+            assert plus == minus == POS
 
 
 def test_check_minimality_examples():
@@ -354,9 +366,11 @@ def test_check_minimality_examples():
         SPACE4, [v + E(1) for v in d.mu_plus.atom_values]
     )
     assert check_minimality(MIXED, bumped, "plus")
+    plus_values = [plain(v) for v in d.mu_plus.atom_values]
+    bumped_values = [plain(v) for v in bumped.atom_values]
     for mask in range(16):
-        assert pos_eval(d.mu_plus.atom_values, mask) <= pos_eval(
-            bumped.atom_values, mask
+        assert order(atom_sum(plus_values, mask)) <= order(
+            atom_sum(bumped_values, mask)
         )
     # strictly below the measure on {a}: domination must fail
     lowered = PositiveMeasure(SPACE4, [E(1), ZERO, PLUS_INF, ZERO])
@@ -372,13 +386,13 @@ def test_check_minimality_matches_literal_comparison():
         k = rng.randint(1, 5)
         space = FiniteSpace.discrete("abcde"[:k])
         mu = MaximalPartialMeasure(space, [rng.choice(pool) for _ in range(k)])
-        table = scratch_table(mu.atom_values, k)
+        tab = table([plain(v) for v in mu.atom_values])
         for side in ("plus", "minus"):
             candidate = PositiveMeasure(
                 space, [rng.choice(candidate_pool) for _ in range(k)]
             )
             expected = literal_dominates(
-                table, scratch_table(candidate.atom_values, k), side
+                tab, table([plain(v) for v in candidate.atom_values]), side
             )
             assert check_minimality(mu, candidate, side) == expected
             outcomes.add(expected)
@@ -390,9 +404,9 @@ def test_corollary1_examples():
     assert (a_prime, a_dprime) == tuple(sets_of(SPACE4, ["c"], ["d"]))
     a_prime, a_dprime = corollary1_witness(MIXED, SPACE4.full_set())
     assert (a_prime, a_dprime) == tuple(sets_of(SPACE4, ["a", "c"], ["b", "d"]))
-    table = value_table(MIXED)
-    assert table[a_prime.mask] == PLUS_INF
-    assert table[a_dprime.mask] == MINUS_INF
+    lib_table = value_table(MIXED)
+    assert lib_table[a_prime.mask] == PLUS_INF
+    assert lib_table[a_dprime.mask] == MINUS_INF
     with pytest.raises(InDomainError):
         corollary1_witness(MIXED, SPACE4.set_from_points(["a", "b"]))
 
@@ -420,10 +434,11 @@ def test_value_table_matches_scratch_evaluation(seed):
     mu = MaximalPartialMeasure(
         space, [rng.choice(pool) for _ in range(space.n_atoms)]
     )
-    table = value_table(mu)
+    lib_table = value_table(mu)
+    values = [plain(v) for v in mu.atom_values]
     for mask in range(1 << space.n_atoms):
-        assert table[mask] == eval_scratch(mu.atom_values, mask)
-        assert mu.in_domain_mask(mask) == (table[mask] is not None)
+        assert plain(lib_table[mask]) == atom_sum(values, mask)
+        assert mu.in_domain_mask(mask) == (lib_table[mask] is not None)
 
 
 def test_evaluate_outside_derived_domain():
@@ -456,8 +471,9 @@ def test_equality_is_value_equality_across_constructors():
 
     def validated(atom_values):
         sets = [MeasurableSet(SPACE4, m) for m in submasks(abc.mask)]
+        values = [plain(v) for v in atom_values]
         return validate_partial(
-            SPACE4, sets, {s: eval_scratch(atom_values, s.mask) for s in sets}
+            SPACE4, sets, {s: ext(atom_sum(values, s.mask)) for s in sets}
         )
 
     assert restricted == differenced == validated(atoms)
@@ -585,7 +601,8 @@ def test_disjoint_families_and_union_closure(seed):
     mu = MaximalPartialMeasure(
         space, [rng.choice(pool) for _ in range(space.n_atoms)]
     )
-    fp = brute_f_plus(mu.atom_values, space.n_atoms)
+    values = [plain(v) for v in mu.atom_values]
+    fp = sign_classes(table(values))[0]
     u = rng.choice(fp)
 
     def partition():
@@ -596,9 +613,9 @@ def test_disjoint_families_and_union_closure(seed):
         return blocks
 
     fam1, fam2 = partition(), partition()
-    total1 = extreal.sum(eval_scratch(mu.atom_values, b) for b in fam1)
-    total2 = extreal.sum(eval_scratch(mu.atom_values, b) for b in fam2)
-    assert total1 == total2 == eval_scratch(mu.atom_values, u)
+    total1 = total([atom_sum(values, b) for b in fam1])
+    total2 = total([atom_sum(values, b) for b in fam2])
+    assert total1 == total2 == atom_sum(values, u)
 
     members = rng.sample(fp, min(len(fp), rng.randint(1, 4)))
     union = 0

@@ -16,6 +16,7 @@ from partmeas.errors import (
     TooLargeError,
     UnknownPointError,
 )
+from partmeas.spaces import ENUMERATION_CAP, check_enumerable
 from oracles import atoms_of_closed_family, closure_of_family
 
 
@@ -168,6 +169,7 @@ def test_enumerate_cap():
     space = FiniteSpace.discrete([f"p{i:02d}" for i in range(21)])
     with pytest.raises(TooLargeError):
         enumerate_sets(space)
+    check_enumerable(ENUMERATION_CAP)  # the cap itself is allowed
 
 
 def test_enumerate_canonical_order():

@@ -8,13 +8,16 @@ every push, so CI runs it only when dispatched by hand.  Each mutant
 flips one operator of MODULE: a comparison (< and <=, > and >=, == and
 !=, in and not in, is and is not), + and -, & and |, and and or, or
 drops one `not`.  Type annotations are left alone.  The tests run in a
-copy of src/, tests/ and pyproject.toml made under --workdir (the
-system's temporary directory by default), so the checkout is never
-changed.  A mutant survives when the tests pass; a run longer than
-TIMEOUT_S kills it.  Each test run is a process group of its own, killed
-when it ends, times out, or the mutator stops on SIGINT or SIGTERM.
-Prints each survivor's line and the counts, and exits 1 when a survivor
-is not an equivalent mutant listed in mutants_allow.txt.
+copy of src/, tests/, bench/ (whose oracle.py the tests import) and
+pyproject.toml made under --workdir (the system's temporary directory
+by default), so the checkout is never changed.  They run with a fixed
+--hypothesis-seed, so a verdict repeats.  A mutant survives when the
+tests pass; a run longer than SLOWDOWN times the unmutated run (plus
+SLACK_S) kills it, so a mutant that loops forever costs seconds, not
+minutes.  Each test run is a process group of its own, killed when it
+ends, times out, or the mutator stops on SIGINT or SIGTERM.  Prints each
+survivor's line and the counts, and exits 1 when a survivor is not an
+equivalent mutant listed in mutants_allow.txt.
 """
 
 import argparse
@@ -25,11 +28,12 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOW = ROOT / "tools" / "mutants_allow.txt"
-TIMEOUT_S = 300.0  # kills mutants that loop forever
+SLOWDOWN, SLACK_S = 5, 5.0  # bound a mutant run by the unmutated one
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -112,23 +116,26 @@ def main() -> int:
     lines = source.splitlines()
     counter = Mutator()
     counter.visit(ast.parse(source))
-    survived = unlisted = 0
+    survived = unlisted = timed_out = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, Path(tmp) / name)
+        for name in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / name, Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
                "PYTHONPATH": str(Path(tmp) / "src")}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                   "no:cacheprovider", *args.tests]
+                   "no:cacheprovider", "--hypothesis-seed=0", *args.tests]
 
-        def passes() -> bool:
+        def passes(timeout: float | None) -> bool:
+            nonlocal timed_out
             child = subprocess.Popen(
                 command, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL, start_new_session=True)
             try:
-                return child.wait(timeout=TIMEOUT_S) == 0
+                return child.wait(timeout=timeout) == 0
             except subprocess.TimeoutExpired:
+                timed_out += 1
                 return False
             finally:
                 # the group outlives the child when a test left a process behind
@@ -138,14 +145,16 @@ def main() -> int:
                     pass
                 child.wait()
 
-        if not passes():
+        started = time.monotonic()
+        if not passes(None):
             print("the tests fail on the unmutated module")
             return 1
+        timeout = SLOWDOWN * (time.monotonic() - started) + SLACK_S
         for target in range(counter.sites):
             mutator = Mutator(target)
             tree = mutator.visit(ast.parse(source))
             (Path(tmp) / module).write_text(ast.unparse(tree), encoding="utf-8")
-            if passes():
+            if passes(timeout):
                 survived += 1
                 line, change = mutator.hit
                 text = lines[line - 1].strip()
@@ -154,7 +163,8 @@ def main() -> int:
                 print(f"{module}:{line}: {change} survived"
                       f"{' (listed)' if known else ''}: {text}", flush=True)
     print(f"{module}: {counter.sites} mutants, {survived} survived, "
-          f"{unlisted} not listed in {ALLOW.relative_to(ROOT)}")
+          f"{unlisted} not listed in {ALLOW.relative_to(ROOT)}, "
+          f"{timed_out} killed after {timeout:.0f} s")
     return 1 if unlisted else 0
 
 
