@@ -22,7 +22,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it provides; __all__ lists them in this order
+# submodule -> the public names it provides, the only list of them: __all__
+# and README's "Library API" table give them in this order
 _EXPORTS = {
     "extreal": ("ExtReal", "PLUS_INF", "MINUS_INF", "ZERO"),
     "spaces": (
@@ -30,7 +31,6 @@ _EXPORTS = {
         "MeasurableSet",
         "generate_algebra",
         "trace_algebra",
-        "enumerate_sets",
         "ENUMERATION_CAP",
     ),
     "measure": ("AtomVector", "Measure", "PositiveMeasure", "hahn_decomposition"),
@@ -42,10 +42,8 @@ _EXPORTS = {
         "maximalize",
         "value_table",
         "f_plus",
-        "f_minus",
         "jordan_sup",
         "JordanDecomposition",
-        "jordan_decompose",
         "jordan_decompose_detailed",
         "check_minimality",
         "corollary1_witness",
@@ -79,7 +77,7 @@ _EXPORTS = {
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_SOURCE]
+__all__ = list(_SOURCE)
 
 
 def __getattr__(name: str):

@@ -16,6 +16,7 @@ Output is deterministic for identical (command, inputs, seed); pass
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="partmeas", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)

@@ -26,15 +26,6 @@ from .measure import AtomVector
 from .partial import MaximalPartialMeasure
 from .spaces import FiniteSpace, MeasurableSet, iter_bits
 
-__all__ = [
-    "Probability",
-    "RandomVariable",
-    "mu_xi",
-    "ess_sup",
-    "is_abs_continuous",
-    "rn_derivative",
-]
-
 
 class Probability(AtomVector):
     """Exact atom probabilities: nonnegative rationals summing to one.

@@ -31,8 +31,6 @@ from .errors import (
 from .extreal import MINUS_INF, PLUS_INF, ZERO, ExtReal, _ratio
 from .spaces import FiniteSpace, MeasurableSet
 
-__all__ = ["AtomVector", "Measure", "PositiveMeasure", "hahn_decomposition"]
-
 
 class AtomVector:
     """One extended-real value per atom of a finite space.

@@ -56,27 +56,6 @@ from .spaces import (
     iter_submasks,
 )
 
-__all__ = [
-    "PartialMeasure",
-    "MaximalPartialMeasure",
-    "validate_partial",
-    "diff_measures",
-    "maximalize",
-    "value_table",
-    "f_plus",
-    "f_minus",
-    "jordan_sup",
-    "JordanDecomposition",
-    "jordan_decompose",
-    "jordan_decompose_detailed",
-    "check_minimality",
-    "corollary1_witness",
-    "hahn_partial",
-    "restrict_to",
-    "single_set_extensions",
-    "is_maximal",
-]
-
 
 class PartialMeasure(AtomVector):
     """A validated partial measure with an explicit, trace-closed domain.
@@ -145,6 +124,8 @@ class PartialMeasure(AtomVector):
         if not isinstance(other, PartialMeasure):
             return NotImplemented
         return self._maximal == other._maximal and super().__eq__(other)
+
+    __hash__ = AtomVector.__hash__
 
     def __repr__(self) -> str:
         return f"PartialMeasure({len(self._maximal)} maximal sets on {self.space!r})"
@@ -363,16 +344,6 @@ def f_plus(mu: MaximalPartialMeasure) -> list[MeasurableSet]:
     return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonneg_mask())]
 
 
-def f_minus(mu: MaximalPartialMeasure) -> list[MeasurableSet]:
-    """Domain sets whose every measurable subset has value <= 0.
-
-    These are exactly the subsets of the atoms with value <= 0, listed
-    in canonical mask order.
-    """
-    check_enumerable(mu.space.n_atoms)
-    return [MeasurableSet(mu.space, m) for m in iter_submasks(mu.nonpos_mask())]
-
-
 def _check_side(side: str) -> None:
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -458,13 +429,6 @@ def jordan_decompose_detailed(mu: MaximalPartialMeasure) -> JordanDecomposition:
         tuple(plus_at),
         tuple(minus_at),
     )
-
-
-def jordan_decompose(
-    mu: MaximalPartialMeasure,
-) -> tuple[PositiveMeasure, PositiveMeasure]:
-    d = jordan_decompose_detailed(mu)
-    return d.mu_plus, d.mu_minus
 
 
 def check_minimality(

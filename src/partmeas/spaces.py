@@ -22,15 +22,6 @@ from .errors import (
     UnknownPointError,
 )
 
-__all__ = [
-    "ENUMERATION_CAP",
-    "FiniteSpace",
-    "MeasurableSet",
-    "generate_algebra",
-    "trace_algebra",
-    "enumerate_sets",
-]
-
 # 2**20 sets is the default ceiling for exhaustive enumeration.
 ENUMERATION_CAP = 20
 
@@ -288,9 +279,3 @@ def trace_algebra(space: FiniteSpace, b: MeasurableSet) -> FiniteSpace:
             m |= 1 << remap[j]
         new_atoms.append(m)
     return FiniteSpace(new_points, new_atoms)
-
-
-def enumerate_sets(space: FiniteSpace) -> list[MeasurableSet]:
-    """All 2**k measurable sets in canonical mask order."""
-    check_enumerable(space.n_atoms)
-    return [MeasurableSet(space, m) for m in range(1 << space.n_atoms)]

@@ -28,7 +28,6 @@ from partmeas import (
     check_minimality,
     corollary1_witness,
     ess_sup,
-    f_minus,
     f_plus,
     is_abs_continuous,
     is_maximal,
@@ -44,6 +43,7 @@ from partmeas import (
 from partmeas import extreal
 from partmeas.errors import IllPosedError, MixedInfinitiesInDomainSetError
 from partmeas.fuzzing import FuzzConfig, generate_random_instance
+from partmeas.spaces import iter_submasks
 from partmeas.symbolic import (
     f_plus_enumeration_oracle,
     hahn_failure_check,
@@ -109,11 +109,14 @@ def pool_scan():
             # sets and suprema must equal the literal walk over F+ and F-,
             # and the parts the independent per-atom oracle
             classes = sign_classes(tab)
+            # F- is the subsets of the atoms with value <= 0
+            fast_plus = [s.mask for s in f_plus(mu)]
+            fast_minus = list(iter_submasks(mu.nonpos_mask()))
             for side, family, fast_family, part, attaining, per_atom in (
-                ("plus", classes[0], f_plus(mu), d.mu_plus, d.plus_attaining, plus_pool),
-                ("minus", classes[1], f_minus(mu), d.mu_minus, d.minus_attaining, minus_pool),
+                ("plus", classes[0], fast_plus, d.mu_plus, d.plus_attaining, plus_pool),
+                ("minus", classes[1], fast_minus, d.mu_minus, d.minus_attaining, minus_pool),
             ):
-                if [s.mask for s in fast_family] != family:
+                if fast_family != family:
                     results["oracle_mismatches"] += 1
                 values = [plain(v) for v in part.atom_values]
                 if values != [per_atom[j] for j in picks]:

@@ -9,7 +9,6 @@ stderr.  tests/corpus/ pins the output bytes; this pins the answers.
 """
 
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -71,11 +70,7 @@ def check(tmp_path_factory):
         else:
             assert obj == want, argv
 
-    # building the parser is most of an in-process run; every other CLI
-    # test builds its own
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
-        yield run
+    return run
 
 
 def mixes(values):

@@ -203,22 +203,6 @@ def test_images_compare_and_add_as_extreal_does():
                 assert total == inf * expected.sign()
 
 
-def test_is_difference_is_extreal_subtraction():
-    for v, p, q in product(_POOL, repeat=3):
-        try:
-            expected = v == p - q
-        except IllPosedError:
-            with pytest.raises(IllPosedError, match=_ILL_POSED):
-                fuzzing._is_difference(v, p, q)
-            continue
-        assert fuzzing._is_difference(v, p, q) == expected
-    # the cross-multiplication keeps each value's own denominator
-    sixth, half, third = (ExtReal(Fraction(1, d)) for d in (6, 2, 3))
-    assert fuzzing._is_difference(sixth, half, third)
-    assert not fuzzing._is_difference(sixth, third, half)
-    assert fuzzing._is_difference(half, third, -sixth)
-
-
 def test_nonnegative_class_is_the_literal_class():
     values = [MINUS_INF, ExtReal(-1), ZERO, ExtReal(1), PLUS_INF]
     for k in (1, 2, 3):
