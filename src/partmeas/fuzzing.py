@@ -21,24 +21,18 @@ when it fails.
 
 No property builds a ``value_table``.  A property reads only the sets
 its check needs, through the vector's own ``in_domain_mask`` and
-``mask_sum`` (:func:`_vector_value`), or through ``evaluate`` where that
-method is what it checks.  A property that needs every set's value
-reads each set once into a list (:func:`_vector_table`, or ``evaluate``
-over every mask) and then walks the list.
+``mask_sum``, or through ``evaluate`` where that method is what it
+checks.  A property that needs every set's value reads each set once
+into a list (:func:`_vector_table`, or ``evaluate`` over every mask)
+and then walks the list.
 
-The additivity property compares the values it reads in exact integer
-arithmetic, not through ``ExtReal``'s operators (``tests/test_extreal.py``
-and the arithmetic properties check those).  The image rule: a list of
-values is scaled once to the lcm D of its finite denominators, so a
-finite n/d becomes the int n * (D // d); +inf and -inf become ``inf``
-and ``-inf`` for an int ``inf`` more than twice every finite image in
-size.  Images then compare as their values do, two finite images add as
-their values do, and :func:`_image_sum` adds any two images, raising
-:class:`IllPosedError` on +inf and -inf as ``ExtReal`` does.  The
-decomposition-identity and difference properties check v = p - q on
-each set with ``ExtReal``'s subtraction.  The nonnegative class over all
-2^k sets is one down-closure pass over the read values
-(:func:`_nonnegative_class`), not a walk of every submask of every set.
+The set-wide checks decide each set from its one-atom-smaller subsets,
+which were decided before it in mask order: k * 2^k lookups or 2^k
+``ExtReal`` additions, where the paper's definitions quantify over
+3^k (set, subset) pairs.  :func:`_sign_class` gives the nonnegative or
+the nonpositive class of every set, and :func:`_nonadditive_set` checks
+additivity over every disjoint pair.  The literal definitions are
+``tests/oracles.py``'s, against which the tests check both.
 
 ``FuzzConfig`` takes its equality, hash and repr from its ``__slots__``
 through ``symbolic._Fields``.
@@ -49,7 +43,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from . import extreal, jsonio
 from .density import (
@@ -279,49 +273,28 @@ def _fail(detail: str, mu: MaximalPartialMeasure | None = None) -> NoReturn:
     )
 
 
-def _signed_throughout(
-    value: Callable[[int], ExtReal | None], mask: int, sign: int
-) -> bool:
-    """The literal sign-class test: every submask s of ``mask`` has a
-    value ``value(s)`` (None outside the domain) of sign ``sign`` or 0.
-
-    ``value`` is :func:`_vector_value` or a :func:`_vector_table`'s
-    ``__getitem__``."""
-    for s in iter_submasks(mask):
-        v = value(s)
-        if v is None or v.sign() == -sign:
-            return False
-    return True
-
-
-def _vector_value(mu: AtomVector) -> Callable[[int], ExtReal | None]:
-    """A mask's value by ``mu``'s own evaluators; None outside its domain."""
-
-    def value(mask: int) -> ExtReal | None:
-        return mu.mask_sum(mask) if mu.in_domain_mask(mask) else None
-
-    return value
-
-
 def _vector_table(mu: AtomVector) -> list[ExtReal | None]:
-    """Every mask's :func:`_vector_value`, indexed by mask."""
-    return list(map(_vector_value(mu), range(1 << mu.space.n_atoms)))
+    """Every mask's value by ``mu``'s own evaluators, indexed by mask;
+    None outside its domain."""
+    return [
+        mu.mask_sum(mask) if mu.in_domain_mask(mask) else None
+        for mask in range(1 << mu.space.n_atoms)
+    ]
 
 
-def _nonnegative_class(table: list[ExtReal | None]) -> list[bool]:
+def _sign_class(table: list[ExtReal | None], sign: int) -> list[bool]:
     """Which masks of a :func:`_vector_table` are in the nonnegative
-    class: ``_signed_throughout(table.__getitem__, mask, 1)`` for every
-    mask, in one pass.
+    class (``sign`` 1) or the nonpositive class (``sign`` -1): every
+    submask has a value, of sign ``sign`` or 0.
 
     Masks are visited in increasing order, so each one-atom-smaller
     submask of a mask is decided before it.  A mask is in the class when
-    its value is defined and >= 0 and each of those submasks is in the
-    class, which by induction covers every submask: k * 2^k lookups
-    instead of 3^k reads.
+    its value is defined and not of sign ``-sign`` and each of those
+    submasks is in the class, which by induction covers every submask.
     """
     member = [False] * len(table)
     for mask, v in enumerate(table):
-        if v is None or v.sign() < 0:
+        if v is None or v.sign() == -sign:
             continue
         rest = mask
         while rest:
@@ -334,40 +307,23 @@ def _nonnegative_class(table: list[ExtReal | None]) -> list[bool]:
     return member
 
 
-def _images(values: list[ExtReal]) -> tuple[list[int], int]:
-    """The integer images of ``values`` and the image of +inf.
+def _nonadditive_set(table: list[ExtReal]) -> int | None:
+    """The first mask M of ``table`` (every set's value, by mask) that
+    breaks v(M) = v(M - a) + v(a) for its lowest atom a, 0 when the empty
+    set's value is not 0, and None when every mask holds.
 
-    A finite n/d becomes n * (D // d) for the lcm D of the finite
-    denominators; +inf and -inf become ``inf`` and ``-inf`` for an
-    ``inf`` more than twice every finite image in size.  Images compare
-    as their values do, and the sum of two finite images is the image of
-    the sum of their values.
+    Raises IllPosedError, as ``ExtReal``'s + does, where v(M - a) + v(a)
+    adds +inf and -inf.  When every mask holds, v(M) is by induction the
+    sum of its atoms' values and no two atoms hold opposite infinities,
+    so v(A | B) = v(A) + v(B), well-posed, for every disjoint A and B.
     """
-    denom = 1
-    for v in values:
-        d = v._d
-        if d is not None and denom % d:
-            denom = lcm(denom, d)
-    images = [0 if v._d is None else v._n * (denom // v._d) for v in values]
-    inf = 2 * max(map(abs, images)) + 1
-    for i, v in enumerate(values):
-        if v._d is None:
-            images[i] = inf * v._kind
-    return images, inf
-
-
-def _image_sum(a: int, b: int, inf: int) -> int:
-    """The image of the sum of the values of images ``a`` and ``b``.
-
-    Raises IllPosedError, with ``ExtReal``'s text, when one is +inf and
-    the other -inf."""
-    if a == inf or a == -inf:
-        if b == -a:
-            raise IllPosedError("+inf + -inf is not well-posed")
-        return a
-    if b == inf or b == -inf:
-        return b
-    return a + b
+    if table[0] != ZERO:
+        return 0
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        if table[mask] != table[mask ^ low] + table[low]:
+            return mask
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -492,31 +448,20 @@ def _prop_measure_additivity(rng, cfg):
     space = _random_space(rng, cfg.max_atoms)
     m = _random_total_measure(rng, space)
     k = space.n_atoms
-    # every set is evaluated once; each disjoint pair compares the images
-    # of those values.  An int sum that matches a nonzero image is right
-    # (one from +inf and -inf is 0), so only the other pairs need
-    # _image_sum, which also raises where ExtReal's sum would.
-    image, inf = _images(
-        [m.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
-    )
-    for mask, v in enumerate(image):
-        for sub in iter_submasks(space.full_mask ^ mask):
-            w = image[mask | sub]
-            if (w != v + image[sub] or not w) and w != _image_sum(
-                v, image[sub], inf
-            ):
-                _fail(
-                    f"additivity failed on {MeasurableSet(space, mask).key()!r}"
-                    f" and {MeasurableSet(space, sub).key()!r}"
-                )
-    if inf in image and -inf in image:
-        _fail("a measure attained both +inf and -inf")
+    table = [m.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
+    bad = _nonadditive_set(table)
+    if bad == 0:
+        _fail(f"the empty set reads {table[0]}, not 0")
+    if bad is not None:
+        low = bad & -bad
+        _fail(
+            f"additivity failed on {MeasurableSet(space, low).key()!r}"
+            f" and {MeasurableSet(space, bad ^ low).key()!r}"
+        )
     pos = _random_positive_measure(rng, space)
-    pos_image, _ = _images(
-        [pos.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
-    )
-    for mask, v in enumerate(pos_image):
-        if not pos_image[mask & _below(rng, 1 << k)] <= v:
+    pos_table = [pos.evaluate(MeasurableSet(space, mask)) for mask in range(1 << k)]
+    for mask, v in enumerate(pos_table):
+        if not pos_table[mask & _below(rng, 1 << k)] <= v:
             _fail("positive measure is not monotone")
 
 
@@ -526,10 +471,10 @@ def _prop_hahn_total(rng, cfg):
     p, n = hahn_decomposition(m)
     if p.mask & n.mask or p.mask | n.mask != space.full_mask:
         _fail("positive/negative parts do not partition the space")
-    value = _vector_value(m)
-    if not _signed_throughout(value, p.mask, 1):
+    table = _vector_table(m)
+    if not _sign_class(table, 1)[p.mask]:
         _fail("a subset of the positive part is negative")
-    if not _signed_throughout(value, n.mask, -1):
+    if not _sign_class(table, -1)[n.mask]:
         _fail("a subset of the negative part is positive")
 
 
@@ -568,7 +513,7 @@ def _prop_restriction_validates(rng, cfg):
 def _prop_disjoint_family_sums(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = _vector_table(mu)
-    fp = [m for m, member in enumerate(_nonnegative_class(table)) if member]
+    fp = [m for m, member in enumerate(_sign_class(table, 1)) if member]
     u = fp[_below(rng, len(fp))]
 
     def random_partition() -> list[int]:
@@ -588,7 +533,7 @@ def _prop_disjoint_family_sums(rng, cfg):
 
 def _prop_union_closure(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    member = _nonnegative_class(_vector_table(mu))
+    member = _sign_class(_vector_table(mu), 1)
     fp = [m for m, ok in enumerate(member) if ok]
     members = rng.sample(fp, min(len(fp), _below(rng, 4) + 1))
     union = 0
@@ -601,10 +546,8 @@ def _prop_union_closure(rng, cfg):
 def _prop_jordan_identity(rng, cfg):
     mu = _random_maximal(rng, cfg)
     d = jordan_decompose_detailed(mu)
-    value = _vector_value(mu)
     plus, minus = d.mu_plus.mask_sum, d.mu_minus.mask_sum
-    for mask in range(1 << mu.space.n_atoms):
-        v = value(mask)
+    for mask, v in enumerate(_vector_table(mu)):
         if v is not None:
             if v != plus(mask) - minus(mask):
                 _fail(f"decomposition identity failed on mask {mask:b}", mu=mu)
@@ -678,6 +621,9 @@ def _prop_minimality_rejects(rng, cfg):
 def _prop_corollary1(rng, cfg):
     mu = _random_maximal(rng, cfg)
     table = _vector_table(mu)
+    if None not in table:
+        return
+    plus, minus = _sign_class(table, 1), _sign_class(table, -1)
     for mask, v in enumerate(table):
         if v is not None:
             continue
@@ -687,19 +633,19 @@ def _prop_corollary1(rng, cfg):
             _fail("witnesses are not subsets", mu=mu)
         if table[a_plus.mask] != PLUS_INF or table[a_minus.mask] != MINUS_INF:
             _fail("witness values are not the infinities", mu=mu)
-        if not _signed_throughout(table.__getitem__, a_plus.mask, 1):
+        if not plus[a_plus.mask]:
             _fail("positive witness fails class membership", mu=mu)
-        if not _signed_throughout(table.__getitem__, a_minus.mask, -1):
+        if not minus[a_minus.mask]:
             _fail("negative witness fails class membership", mu=mu)
 
 
 def _prop_hahn_partial(rng, cfg):
     mu = _random_maximal(rng, cfg)
-    value = _vector_value(mu)
+    table = _vector_table(mu)
     c, rest = hahn_partial(mu)
-    if not _signed_throughout(value, c.mask, 1):
+    if not _sign_class(table, 1)[c.mask]:
         _fail("positive side fails class membership", mu=mu)
-    if not _signed_throughout(value, rest.mask, -1):
+    if not _sign_class(table, -1)[rest.mask]:
         _fail("negative side fails class membership", mu=mu)
 
 
@@ -828,11 +774,11 @@ def _prop_rn_round_trip(rng, cfg):
 
 def _prop_ac_split(rng, cfg):
     mu, prob = _random_ac_pair(rng, cfg)
-    value = _vector_value(mu)
+    table = _vector_table(mu)
     omega_plus = ess_sup(f_plus(mu), prob)
-    if not _signed_throughout(value, omega_plus.mask, 1):
+    if not _sign_class(table, 1)[omega_plus.mask]:
         _fail("essential supremum left the nonnegative class", mu=mu)
-    if not _signed_throughout(value, omega_plus.complement().mask, -1):
+    if not _sign_class(table, -1)[omega_plus.complement().mask]:
         _fail("its complement left the nonpositive class", mu=mu)
 
 
@@ -863,9 +809,10 @@ def _prop_abs_continuity_criteria(rng, cfg):
     mu = _random_maximal(rng, cfg)
     prob = _random_probability(rng, mu.space)
     atomwise = is_abs_continuous(mu, prob)
-    value = _vector_value(mu)
-    # None (outside the domain) never equals ZERO
-    quantified = all(value(s) == ZERO for s in iter_submasks(prob.null_mask))
+    table = _vector_table(mu)
+    # every subset of the null set reads 0: the set is in both classes
+    null = prob.null_mask
+    quantified = _sign_class(table, 1)[null] and _sign_class(table, -1)[null]
     if atomwise != quantified:
         _fail("atom criterion disagrees with the quantified criterion", mu=mu)
 

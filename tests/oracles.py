@@ -77,10 +77,13 @@ def atoms_of_closed_family(family):
 
 
 def sign_classes(tab):
-    """F+ and F-, each in mask order: the domain sets none of whose
-    subsets has a negative (for F-, a positive) value.
+    """F+ and F-, each in mask order: the sets every subset of which has
+    a value, none negative (for F-, none positive).
 
-    Literal brute force: every submask of every domain set is inspected.
+    Literal brute force: every submask of every set is inspected.  On a
+    partial measure's table, whose domain holds every subset of its sets,
+    these are the domain sets none of whose subsets has a negative (for
+    F-, a positive) value.
     """
     signs = [None if v is None else sign(v) for v in tab]
     plus, minus = [], []
@@ -88,6 +91,8 @@ def sign_classes(tab):
         if s is None:
             continue
         seen = {signs[sub] for sub in submasks(f)}
+        if None in seen:
+            continue
         if -1 not in seen:
             plus.append(f)
         if 1 not in seen:

@@ -43,6 +43,8 @@ from partmeas.partial import (
 from partmeas.spaces import ENUMERATION_CAP, MeasurableSet
 from partmeas.symbolic import FINITE, FPlusDecision, SymbolicSet, sym_in_f_plus
 
+from oracles import plain, sign_classes, total
+
 
 def test_config_validation():
     trials = f"^trials must be between 1 and {MAX_FUZZ_TRIALS}$"
@@ -177,48 +179,49 @@ _POOL = [
     ExtReal(2),
     PLUS_INF,
 ]
-_ILL_POSED = r"^\+inf \+ -inf is not well-posed$"
 
 
-def test_images_compare_and_add_as_extreal_does():
-    images, inf = fuzzing._images(_POOL)
-    # the finite values over the lcm 6 of their denominators
-    assert images[1:-1] == [-9, -6, 0, 2, 12]
-    assert images[0] == -inf and images[-1] == inf
-    for (a, x), (b, y) in product(zip(_POOL, images), repeat=2):
-        assert (x == y) == (a == b)
-        assert (x <= y) == (a <= b)
-        # a - b is a + (-b), and -y is the image of -b
-        for op, z in ((a.__add__, y), (a.__sub__, -y)):
-            try:
-                expected = op(b)
-            except IllPosedError:
-                with pytest.raises(IllPosedError, match=_ILL_POSED):
-                    fuzzing._image_sum(x, z, inf)
-                continue
-            total = fuzzing._image_sum(x, z, inf)
-            if expected.is_finite:
-                assert total == expected.as_fraction() * 6
-            else:
-                assert total == inf * expected.sign()
-
-
-def test_nonnegative_class_is_the_literal_class():
+def test_sign_class_is_the_literal_class():
     values = [MINUS_INF, ExtReal(-1), ZERO, ExtReal(1), PLUS_INF]
-    for k in (1, 2, 3):
-        space = FiniteSpace.discrete("abc"[:k])
-        for atoms in product(values, repeat=k):
-            table = fuzzing._vector_table(MaximalPartialMeasure(space, atoms))
-            assert fuzzing._nonnegative_class(table) == [
-                fuzzing._signed_throughout(table.__getitem__, m, 1)
-                for m in range(1 << k)
-            ]
+    tables = [
+        fuzzing._vector_table(MaximalPartialMeasure(FiniteSpace.discrete(points), atoms))
+        for points in ("a", "ab", "abc")
+        for atoms in product(values, repeat=len(points))
+    ]
     # tables no atom vector gives, as a wrong library might read them
-    for table in product([None, ExtReal(-1), ZERO, ExtReal(1)], repeat=4):
-        table = list(table)
-        assert fuzzing._nonnegative_class(table) == [
-            fuzzing._signed_throughout(table.__getitem__, m, 1) for m in range(4)
-        ]
+    tables += map(list, product([None, ExtReal(-1), ZERO, ExtReal(1)], repeat=4))
+    for table in tables:
+        plus, minus = sign_classes([plain(v) for v in table])
+        for sign, literal in ((1, plus), (-1, minus)):
+            member = fuzzing._sign_class(table, sign)
+            assert [m for m, ok in enumerate(member) if ok] == literal
+
+
+def test_additivity_induction_is_the_literal_definition():
+    # every table of two atoms over the pool, additive or not
+    for table in map(list, product(_POOL, repeat=4)):
+        v = [plain(x) for x in table]
+        # v(empty) = 0, and v(A | B) = v(A) + v(B), well-posed, for every
+        # disjoint A and B (total is None where the sum is ill-posed)
+        additive = v[0] == 0 and all(
+            total([v[a], v[b]]) == v[a | b]
+            for a in range(4)
+            for b in range(4)
+            if not a & b
+        )
+        try:
+            bad = fuzzing._nonadditive_set(table)
+        except IllPosedError as exc:
+            assert str(exc) == "+inf + -inf is not well-posed"
+            assert not additive
+            continue
+        assert (bad is None) == additive
+        if bad == 0:
+            assert v[0] != 0
+        elif bad is not None:
+            # the sets the failure names break additivity themselves
+            low = bad & -bad
+            assert total([v[low], v[bad ^ low]]) != v[bad]
 
 
 def test_instances_reach_every_size_up_to_the_cap():
@@ -439,6 +442,23 @@ class _PairsReadTheirDifference(fuzzing.Measure):
         return super().evaluate(a)
 
 
+class _TriplesReadMore(fuzzing.Measure):
+    # a finite set of three or more atoms reads its atom sum plus 1: every
+    # atom and pair is right, so the check must add a pair to an atom
+    __slots__ = ()
+
+    def evaluate(self, a):
+        v = super().evaluate(a)
+        return v + ExtReal(1) if a.mask.bit_count() >= 3 and v.is_finite else v
+
+
+class _EmptySetReadsOne(fuzzing.Measure):
+    __slots__ = ()
+
+    def evaluate(self, a):
+        return super().evaluate(a) if a.mask else ExtReal(1)
+
+
 class _OppositeInfinitiesCancel(fuzzing.Measure):
     # when the first atom is infinite, an infinite atom at an odd index
     # reads the opposite infinity, and a set holding both reads 0
@@ -603,6 +623,19 @@ WRONG_ANSWERS = [
         1,
         _patch("Measure", _OppositeInfinitiesCancel),
         "unexpected IllPosedError: +inf + -inf is not well-posed",
+    ),
+    (
+        # trial 0 draws an infinite 'a', so {b, c, d} is the first finite triple
+        "measure_additivity_and_monotonicity",
+        10,
+        _patch("Measure", _TriplesReadMore),
+        "additivity failed on 'b' and 'c,d'",
+    ),
+    (
+        "measure_additivity_and_monotonicity",
+        20,
+        _patch("Measure", _EmptySetReadsOne),
+        "the empty set reads 1, not 0",
     ),
 ]
 
